@@ -4,8 +4,8 @@
 //! tracking algebra, the quantum kernel's two pair-state
 //! representations side by side (`*_bell` vs `*_dm`), and the classical
 //! plane's wire codec and delivery paths (`message_parse`,
-//! `zero_copy_vs_owned_decode/*`, `encode_scratch_vs_alloc/*`,
-//! `batch_vs_single_delivery/*`).
+//! `zero_copy_vs_owned_decode/*`, `encode_scratch_vs_alloc/scratch`,
+//! `batch_vs_single_delivery/batched`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use qn_hardware::device::QubitId;
@@ -277,16 +277,6 @@ fn bench_message_codec(c: &mut Criterion) {
         });
     });
 
-    c.bench_function("encode_scratch_vs_alloc/alloc", |b| {
-        b.iter(|| {
-            let mut bytes = 0usize;
-            for m in &msgs {
-                bytes += m.wire_bytes().len();
-            }
-            bytes
-        });
-    });
-
     c.bench_function("encode_scratch_vs_alloc/scratch", |b| {
         let mut scratch = ScratchEncoder::new();
         b.iter(|| {
@@ -299,10 +289,10 @@ fn bench_message_codec(c: &mut Criterion) {
     });
 }
 
-/// Frame delivery through the event loop: one event + one owned frame
-/// per message (the pre-batching plane) vs one event per coalesced
-/// batch drained through the borrowing view. Both paths end at the same
-/// place — an owned `Message` handed to the protocol node.
+/// Frame delivery through the event loop (the classical plane's
+/// `BatchDeliver` event): one event per coalesced batch, drained
+/// through the borrowing view down to an owned `Message` handed to the
+/// protocol node.
 fn bench_frame_delivery(c: &mut Criterion) {
     let frames: Vec<Vec<u8>> = message_mix().iter().map(Message::wire_bytes).collect();
     let mut batch = Vec::new();
@@ -310,21 +300,6 @@ fn bench_frame_delivery(c: &mut Criterion) {
     for f in &frames {
         batch_append(&mut batch, f);
     }
-
-    c.bench_function("batch_vs_single_delivery/single", |b| {
-        b.iter(|| {
-            let mut q: EventQueue<Vec<u8>> = EventQueue::new();
-            for (i, f) in frames.iter().enumerate() {
-                q.push(SimTime::from_ps(i as u64), f.clone());
-            }
-            let mut acc = 0u64;
-            while let Some((_, f)) = q.pop() {
-                let m = Message::decode(&f).unwrap();
-                acc = acc.wrapping_add(m.circuit().0);
-            }
-            acc
-        });
-    });
 
     c.bench_function("batch_vs_single_delivery/batched", |b| {
         b.iter(|| {
@@ -343,94 +318,12 @@ fn bench_frame_delivery(c: &mut Criterion) {
     });
 }
 
-/// The pre-slab pair layout: one heap node per pair behind a
-/// `HashMap<u64, _>`, iterated in hash order. Kept here as the
-/// reference the slab store is benchmarked against — the decay math is
-/// byte-for-byte the store's, so the measured difference is purely the
-/// container (hashing on every id lookup, pointer-chasing iteration
-/// vs indexed slots and cache-linear parallel arrays).
-mod map_store {
-    use qn_hardware::pairs::PairEnd;
-    use qn_quantum::bell::BellState;
-    use qn_quantum::channels;
-    use qn_quantum::pairstate::BellDiagonal;
-    use qn_quantum::pairstate::PairState;
-    use qn_sim::{NodeId, SimTime};
-    use std::collections::HashMap;
-
-    pub struct MapPair {
-        pub announced: BellState,
-        pub ends: [PairEnd; 2],
-        pub state: PairState,
-    }
-
-    pub struct MapStore {
-        pub pairs: HashMap<u64, MapPair>,
-        next: u64,
-    }
-
-    impl MapStore {
-        pub fn new() -> Self {
-            MapStore {
-                pairs: HashMap::new(),
-                next: 0,
-            }
-        }
-
-        pub fn create(&mut self, now: SimTime, t1: f64, t2: f64) -> u64 {
-            let id = self.next;
-            self.next += 1;
-            let end = |n: u32| PairEnd {
-                node: NodeId(n),
-                qubit: qn_hardware::device::QubitId(0),
-                t1,
-                t2,
-                last_noise: now,
-                measured: false,
-            };
-            self.pairs.insert(
-                id,
-                MapPair {
-                    announced: BellState::PHI_PLUS,
-                    ends: [end(0), end(1)],
-                    state: PairState::Bell(BellDiagonal::from_bell_state(BellState::PHI_PLUS)),
-                },
-            );
-            id
-        }
-
-        pub fn advance_all(&mut self, now: SimTime) {
-            for p in self.pairs.values_mut() {
-                for (idx, end) in p.ends.iter_mut().enumerate() {
-                    if end.measured {
-                        end.last_noise = now;
-                        continue;
-                    }
-                    let dt = now.since(end.last_noise).as_secs_f64();
-                    end.last_noise = now;
-                    if dt <= 0.0 {
-                        continue;
-                    }
-                    let gamma = channels::damping_prob(dt, end.t1);
-                    if gamma > 0.0 {
-                        p.state.amplitude_damp(idx, gamma);
-                    }
-                    let pd = channels::dephasing_prob(dt, end.t2);
-                    if pd > 0.0 {
-                        p.state.dephase(idx, pd);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The slab refactor's hot paths isolated against the pre-slab layout:
-/// steady-state churn with id-heavy access (`slab_vs_map_lookup_churn`,
-/// the sustained-traffic kernel) and the whole-store decoherence sweep
-/// with real elapsed time (`slab_vs_map_decoherence_sweep`, where the
-/// exponential decay math is shared by both sides and bounds the
-/// attainable speedup).
+/// The pair store's hot paths (the runtime's pair bookkeeping and
+/// `Checkpoint` sweeps): steady-state churn with id-heavy access
+/// (`slab_vs_map_lookup_churn`, the sustained-traffic kernel) and the
+/// whole-store decoherence sweep with real elapsed time
+/// (`slab_vs_map_decoherence_sweep`, where the exponential decay math
+/// dominates).
 fn bench_slab_store(c: &mut Criterion) {
     use qn_hardware::pairs::PairId;
     use qn_quantum::pairstate::BellDiagonal;
@@ -456,13 +349,6 @@ fn bench_slab_store(c: &mut Criterion) {
             .collect();
         (store, ids)
     };
-    let mk_map = || {
-        let mut store = map_store::MapStore::new();
-        let ids: Vec<u64> = (0..LIVE)
-            .map(|_| store.create(SimTime::ZERO, t1, t2))
-            .collect();
-        (store, ids)
-    };
 
     // Sustained traffic: every live pair's handle is resolved several
     // times per protocol step (generation bookkeeping, swap operands,
@@ -471,25 +357,6 @@ fn bench_slab_store(c: &mut Criterion) {
     // common checkpoint-right-after-activity case), and the oldest
     // pairs churn out as fresh ones arrive.
     const LOOKUP_PASSES: usize = 8;
-    c.bench_function("slab_vs_map_lookup_churn/map", |b| {
-        let (mut store, ids) = mk_map();
-        let mut ids: std::collections::VecDeque<u64> = ids.into();
-        b.iter(|| {
-            let mut acc = 0usize;
-            for _ in 0..LOOKUP_PASSES {
-                for id in &ids {
-                    acc += store.pairs.get(id).map_or(0, |p| p.announced.index());
-                }
-            }
-            store.advance_all(SimTime::ZERO);
-            for _ in 0..CHURN {
-                let old = ids.pop_front().expect("ring is never empty");
-                store.pairs.remove(&old);
-                ids.push_back(store.create(SimTime::ZERO, t1, t2));
-            }
-            acc
-        });
-    });
     c.bench_function("slab_vs_map_lookup_churn/slab", |b| {
         let (mut store, ids) = mk_slab();
         let mut ids: std::collections::VecDeque<PairId> = ids.into();
@@ -518,17 +385,9 @@ fn bench_slab_store(c: &mut Criterion) {
         });
     });
 
-    // The wired checkpoint sweep with genuinely elapsed time: both
-    // sides pay the same per-pair exponentials, so this measures the
-    // end-to-end sweep including math, not just container traversal.
-    c.bench_function("slab_vs_map_decoherence_sweep/map", |b| {
-        let (mut store, _ids) = mk_map();
-        let mut now = SimTime::ZERO;
-        b.iter(|| {
-            now += SimDuration::from_millis(1);
-            store.advance_all(now);
-        });
-    });
+    // The wired checkpoint sweep with genuinely elapsed time: this
+    // measures the end-to-end sweep including the per-pair
+    // exponentials, not just container traversal.
     c.bench_function("slab_vs_map_decoherence_sweep/slab", |b| {
         let (mut store, _ids) = mk_slab();
         let mut now = SimTime::ZERO;
@@ -539,12 +398,12 @@ fn bench_slab_store(c: &mut Criterion) {
     });
 }
 
-/// The swap/distill conditional-table cache lookup: the sorted-Vec
-/// binary-search cache that now backs `PairStore` vs the `HashMap` it
-/// replaced, at a realistic cache population (a store accumulates a
-/// handful of distinct `(t1-bits, t2-bits, outcome)` keys per run).
+/// The swap/distill conditional-table cache lookup (the quantum
+/// kernel's `SwapDone` path): the sorted-Vec binary-search cache that
+/// backs `PairStore`, at a realistic cache population (a store
+/// accumulates a handful of distinct `(t1-bits, t2-bits, outcome)` keys
+/// per run).
 fn bench_table_cache(c: &mut Criterion) {
-    use std::collections::HashMap;
     type Key = (u64, u64, u8);
     const KEYS: usize = 12;
     let keys: Vec<Key> = (0..KEYS as u64)
@@ -561,16 +420,6 @@ fn bench_table_cache(c: &mut Criterion) {
     let lookups: Vec<Key> = (0..256).map(|i| keys[i % KEYS]).collect();
     let payload = |k: &Key| vec![k.0 as f64; 16];
 
-    c.bench_function("table_cache_lookup/hashmap", |b| {
-        let map: HashMap<Key, Vec<f64>> = keys.iter().map(|k| (*k, payload(k))).collect();
-        b.iter(|| {
-            let mut acc = 0.0f64;
-            for k in &lookups {
-                acc += map.get(k).expect("cached")[0];
-            }
-            acc
-        });
-    });
     c.bench_function("table_cache_lookup/sorted_vec", |b| {
         let mut entries: Vec<(Key, Vec<f64>)> = keys.iter().map(|k| (*k, payload(k))).collect();
         entries.sort_by_key(|(k, _)| *k);
@@ -598,71 +447,6 @@ fn bench_bell_algebra(c: &mut Criterion) {
     });
 }
 
-/// The partitioned epoch executor: one conservative-lookahead workload
-/// (cross-shard pings + local xorshift churn over 4 shards) run on the
-/// serial reference and on the thread pool. Same code path the sharded
-/// netsim verification mode accounts for; the parallel run is asserted
-/// bit-identical to the serial one before timing starts.
-fn bench_shard_scaling(c: &mut Criterion) {
-    type ShardState = (u64, u64);
-
-    fn churn(
-        shard: usize,
-        state: &mut ShardState,
-        _now: SimTime,
-        payload: u64,
-        ctx: &mut qn_sim::shard::ShardCtx<'_, u64>,
-    ) {
-        for _ in 0..200 {
-            state.0 ^= state.0 << 13;
-            state.0 ^= state.0 >> 7;
-            state.0 ^= state.0 << 17;
-            state.0 = state.0.wrapping_add(payload);
-        }
-        state.1 += 1;
-        if payload > 0 {
-            ctx.send(
-                (shard + 1) % ctx.n_shards(),
-                SimDuration::from_ps(10),
-                payload - 1,
-            );
-            if payload % 3 == 0 {
-                ctx.schedule_in(SimDuration::from_ps(3), payload / 2);
-            }
-        }
-    }
-
-    fn seeds() -> (Vec<ShardState>, Vec<(usize, SimTime, u64)>) {
-        let shards = (0..4).map(|i| (0x9e37u64 + i, 0)).collect();
-        let initial = (0..4)
-            .map(|i| (i as usize, SimTime::from_ps(i), 40 + i))
-            .collect();
-        (shards, initial)
-    }
-
-    let lookahead = SimDuration::from_ps(10);
-    let (s, i) = seeds();
-    let serial = qn_sim::shard::run_partitioned_serial(s, i, lookahead, SimTime::MAX, churn);
-    let (s, i) = seeds();
-    let parallel = qn_exec::run_partitioned(4, s, i, lookahead, SimTime::MAX, churn);
-    assert_eq!(serial, parallel, "parallel epochs must be bit-identical");
-
-    c.bench_function("shard_scaling/serial_1", |b| {
-        b.iter_batched(
-            seeds,
-            |(s, i)| qn_sim::shard::run_partitioned_serial(s, i, lookahead, SimTime::MAX, churn),
-            BatchSize::SmallInput,
-        );
-    });
-    c.bench_function("shard_scaling/threads_4", |b| {
-        b.iter_batched(
-            seeds,
-            |(s, i)| qn_exec::run_partitioned(4, s, i, lookahead, SimTime::MAX, churn),
-            BatchSize::SmallInput,
-        );
-    });
-}
-
 criterion_group!(
     benches,
     bench_event_queue,
@@ -673,7 +457,6 @@ criterion_group!(
     bench_frame_delivery,
     bench_slab_store,
     bench_table_cache,
-    bench_bell_algebra,
-    bench_shard_scaling
+    bench_bell_algebra
 );
 criterion_main!(benches);

@@ -238,14 +238,15 @@ pub fn write_baseline(
     out.push_str("    \"mean_ns\": \"informational\",\n");
     out.push_str("    \"min_ns\": \"informational\",\n");
     out.push_str("    \"max_ns\": \"informational\",\n");
-    out.push_str("    \"events_per_sec\": \"informational\",\n");
+    out.push_str("    \"iters_per_sec\": \"informational\",\n");
     out.push_str("    \"samples\": \"informational\"\n");
     out.push_str("  },\n");
     out.push_str("  \"points\": [\n");
     for (i, r) in results.iter().enumerate() {
-        // Guard division and stay valid JSON ({:?} on NaN would emit a
-        // bare `NaN` token the hand-rolled parser rejects).
-        let events_per_sec = if r.mean_ns > 0.0 {
+        // Iterations (one closure call, however much work it does) per
+        // second. Guard division and stay valid JSON ({:?} on NaN would
+        // emit a bare `NaN` token the hand-rolled parser rejects).
+        let iters_per_sec = if r.mean_ns > 0.0 {
             1e9 / r.mean_ns
         } else {
             0.0
@@ -257,8 +258,8 @@ pub fn write_baseline(
         out.push_str(&format!("        \"min_ns\": {:?},\n", r.min_ns));
         out.push_str(&format!("        \"max_ns\": {:?},\n", r.max_ns));
         out.push_str(&format!(
-            "        \"events_per_sec\": {:?},\n",
-            events_per_sec
+            "        \"iters_per_sec\": {:?},\n",
+            iters_per_sec
         ));
         out.push_str(&format!("        \"samples\": {:?}\n", r.samples as f64));
         out.push_str("      }\n");
