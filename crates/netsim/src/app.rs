@@ -39,7 +39,7 @@ pub struct DeliveryRecord {
 }
 
 /// Delivery payload, mirroring [`DeliveryKind`] without handles.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum Payload {
     /// A confirmed qubit (KEEP).
     Qubit {

@@ -4,6 +4,7 @@
 use crate::app::AppHarness;
 use crate::classical::{ClassicalFaults, ClassicalStats};
 use crate::faults::FaultPlan;
+use crate::log::EventLog;
 use crate::runtime::{CheckpointPolicy, Ev, NetworkModel, RetransmitConfig, RuntimeConfig};
 use qn_net::ids::{CircuitId, RequestId};
 use qn_net::node::NodeStats;
@@ -12,7 +13,7 @@ use qn_routing::budget::CutoffPolicy;
 use qn_routing::controller::{CircuitPlan, Controller, PlanError};
 use qn_routing::signalling::Signaller;
 use qn_routing::topology::Topology;
-use qn_sim::{NodeId, RunOutcome, SimDuration, SimTime, Simulation, Trace};
+use qn_sim::{NodeId, RunOutcome, SimDuration, SimTime, Simulation};
 
 /// Builder for a [`NetSim`].
 pub struct NetworkBuilder {
@@ -115,7 +116,7 @@ impl NetworkBuilder {
         self
     }
 
-    /// Record a human-readable protocol trace.
+    /// Record the protocol event log (read it with [`NetSim::log`]).
     pub fn with_trace(mut self) -> Self {
         self.cfg.trace = true;
         self
@@ -288,9 +289,9 @@ impl NetSim {
         &self.sim.model().app
     }
 
-    /// The recorded trace (enable with [`NetworkBuilder::with_trace`]).
-    pub fn trace(&self) -> &Trace {
-        &self.sim.model().trace
+    /// The protocol event log, if [`NetworkBuilder::with_trace`] was set.
+    pub fn log(&self) -> Option<&EventLog> {
+        self.sim.model().log.as_ref()
     }
 
     /// Protocol-vs-omniscient Bell-state mismatches observed (readout

@@ -11,7 +11,8 @@
 //!   swaps/measurements, cutoff timers, near-term storage moves;
 //! * [`build`] — the [`build::NetworkBuilder`] / [`build::NetSim`]
 //!   façade: open circuits, submit requests, run, read metrics;
-//! * [`app`] — the application harness with oracle-annotated deliveries.
+//! * [`app`] — the application harness with oracle-annotated deliveries;
+//! * [`log`] — the typed protocol event log, off unless asked for.
 //!
 //! ## Example: one pair over the Fig 7 dumbbell
 //!
@@ -45,6 +46,7 @@ pub mod build;
 pub mod classical;
 pub mod estimation;
 pub mod faults;
+pub mod log;
 pub mod runtime;
 
 pub use app::{AppHarness, DeliveryRecord, Payload};
@@ -52,6 +54,7 @@ pub use build::{NetSim, NetworkBuilder};
 pub use classical::{BatchId, BatchOpen, ClassicalFaults, ClassicalPlane, ClassicalStats};
 pub use estimation::FidelityEstimator;
 pub use faults::{ComponentEvent, FaultPlan};
+pub use log::{EventLog, NetEvent};
 pub use runtime::{CheckpointPolicy, Ev, NetworkModel, RetransmitConfig, RuntimeConfig};
 
 // The qn_exec sweep runner builds and runs whole simulations on worker

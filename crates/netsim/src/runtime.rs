@@ -20,6 +20,7 @@
 use crate::app::{AppHarness, DeliveryRecord, Payload};
 use crate::classical::{BatchId, ChannelModel, ClassicalFaults, ClassicalPlane, ClassicalStats};
 use crate::faults::{ComponentEvent, FaultPlan};
+use crate::log::{emit, EventLog, FramePlane, NetEvent, Site};
 use qn_hardware::device::{QDevice, QubitId};
 use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::pairs::{PairId, PairStore, SwapNoise};
@@ -34,9 +35,7 @@ use qn_net::QnpNode;
 use qn_quantum::gates::Pauli;
 use qn_routing::signalling::InstalledCircuit;
 use qn_routing::topology::Topology;
-use qn_sim::{
-    Context, EventId, LinkId, Model, NodeId, SimDuration, SimRng, SimTime, Trace, TraceKind,
-};
+use qn_sim::{Context, EventId, LinkId, Model, NodeId, SimDuration, SimRng, SimTime};
 
 /// When the runtime advances decoherence across the whole pair store.
 ///
@@ -118,7 +117,7 @@ pub struct RuntimeConfig {
     pub disable_cutoff: bool,
     /// Whole-store decoherence checkpointing (see [`CheckpointPolicy`]).
     pub checkpoint: CheckpointPolicy,
-    /// Record a human-readable trace.
+    /// Record the protocol event log ([`crate::log::EventLog`]).
     pub trace: bool,
     /// Carry link-layer (PAIR_READY/REQUEST_DONE/REJECTED) and routing
     /// signalling (INSTALL/TEARDOWN) frames over the classical plane —
@@ -622,8 +621,8 @@ pub struct NetworkModel {
     signal_state: Vec<Option<SignalRt>>,
     /// Application observations.
     pub app: AppHarness,
-    /// Trace recorder (enabled via config).
-    pub trace: Trace,
+    /// Protocol event log (`Some` when [`RuntimeConfig::trace`] is set).
+    pub log: Option<EventLog>,
     rng_links: Vec<SimRng>,
     rng_nodes: Vec<SimRng>,
     rng_msgs: SimRng,
@@ -731,11 +730,7 @@ impl NetworkModel {
             link_delivered: NodeTable::new(n_nodes),
             signal_state: Vec::new(),
             app: AppHarness::default(),
-            trace: if cfg.trace {
-                Trace::enabled()
-            } else {
-                Trace::disabled()
-            },
+            log: cfg.trace.then(EventLog::new),
             rng_links,
             rng_nodes,
             rng_msgs: SimRng::substream(seed, "messages"),
@@ -896,15 +891,15 @@ impl NetworkModel {
             extra: self.cfg.extra_message_delay,
             jitter: self.cfg.message_jitter,
         };
-        self.trace.record(
+        emit(
+            &mut self.log,
             ctx.now(),
-            TraceKind::Message,
-            format!("{from}"),
-            format!(
-                "{} -> {to} ({})",
-                msg.kind_name(),
-                if downstream { "down" } else { "up" }
-            ),
+            NetEvent::MsgSent {
+                from,
+                to,
+                kind: msg.kind_name(),
+                downstream,
+            },
         );
         // The message crosses the hop as encoded bytes: the classical
         // plane transports (and may drop/duplicate/reorder/corrupt)
@@ -1289,30 +1284,38 @@ impl NetworkModel {
         match qn_net::wire::decode_link_event(frame) {
             Ok(LinkEvent::PairReady(pair)) => self.pair_ready_at(ctx, to, pair),
             Ok(LinkEvent::RequestDone(label)) => {
-                self.trace.record(
+                emit(
+                    &mut self.log,
                     ctx.now(),
-                    TraceKind::Info,
-                    format!("{to}"),
-                    format!("link request {label} done"),
+                    NetEvent::LinkRequestDone {
+                        site: Site::Node(to),
+                        label,
+                    },
                 );
             }
             Ok(LinkEvent::Rejected(label, reason)) => {
-                self.trace.record(
+                emit(
+                    &mut self.log,
                     ctx.now(),
-                    TraceKind::Info,
-                    format!("{to}"),
-                    format!("link request {label} rejected: {reason}"),
+                    NetEvent::LinkRequestRejected {
+                        node: to,
+                        label,
+                        reason,
+                    },
                 );
             }
             Err(err) => {
                 self.plane
                     .stats
                     .count_link_decode_failure(frame.get(1).copied());
-                self.trace.record(
+                emit(
+                    &mut self.log,
                     ctx.now(),
-                    TraceKind::Info,
-                    format!("{to}"),
-                    format!("undecodable link frame dropped: {err}"),
+                    NetEvent::FrameUndecodable {
+                        node: to,
+                        plane: FramePlane::Link,
+                        err,
+                    },
                 );
             }
         }
@@ -1449,11 +1452,14 @@ impl NetworkModel {
             Ok(view) => view.to_message(),
             Err(err) => {
                 self.plane.stats.signal_decode_failures += 1;
-                self.trace.record(
+                emit(
+                    &mut self.log,
                     ctx.now(),
-                    TraceKind::Info,
-                    format!("{to}"),
-                    format!("undecodable signalling frame dropped: {err}"),
+                    NetEvent::FrameUndecodable {
+                        node: to,
+                        plane: FramePlane::Signalling,
+                        err,
+                    },
                 );
                 return;
             }
@@ -1585,11 +1591,10 @@ impl NetworkModel {
             .qnp
             .handle(NetInput::TeardownCircuit { circuit });
         self.process_outputs(ctx, head, circuit, outs);
-        self.trace.record(
+        emit(
+            &mut self.log,
             ctx.now(),
-            TraceKind::Info,
-            "signalling".to_string(),
-            format!("{circuit} teardown signalled"),
+            NetEvent::TeardownSignalled { circuit },
         );
         if more {
             self.send_signal_hop(ctx, circuit, 0);
@@ -1718,14 +1723,16 @@ impl NetworkModel {
         self.qubit_owner.insert(nb, correlator, pid);
         self.refs
             .insert_pair(pid, (na, correlator), (nb, correlator));
-        self.trace.record(
+        emit(
+            &mut self.log,
             ctx.now(),
-            TraceKind::LinkPair,
-            format!("{na}-{nb}"),
-            format!(
-                "pair {correlator} ({announced}) after {} attempts",
-                inflight.attempts
-            ),
+            NetEvent::LinkPair {
+                a: na,
+                b: nb,
+                pair: correlator,
+                announced,
+                attempts: inflight.attempts,
+            },
         );
 
         // Nuclear dephasing: the attempts degrade carbon-stored qubits at
@@ -1834,11 +1841,13 @@ impl NetworkModel {
                         });
                     }
                 } else {
-                    self.trace.record(
+                    emit(
+                        &mut self.log,
                         ctx.now(),
-                        TraceKind::Info,
-                        format!("{na}-{nb}"),
-                        format!("link request {label} done"),
+                        NetEvent::LinkRequestDone {
+                            site: Site::Link(na, nb),
+                            label,
+                        },
                     );
                 }
             }
@@ -1873,12 +1882,7 @@ impl NetworkModel {
             .pairs
             .retarget_end(pid, node, storage, t1, t2, p_move, ctx.now());
         self.nodes[node.0 as usize].device.free(electron);
-        self.trace.record(
-            ctx.now(),
-            TraceKind::Quantum,
-            format!("{node}"),
-            format!("moved pair end to storage {storage}"),
-        );
+        emit(&mut self.log, ctx.now(), NetEvent::Move { node, storage });
         let outs = self.nodes[node.0 as usize].qnp.handle(NetInput::LinkPair {
             circuit,
             side,
@@ -1946,11 +1950,14 @@ impl NetworkModel {
                                     )
                                 });
                             } else {
-                                self.trace.record(
+                                emit(
+                                    &mut self.log,
                                     ctx.now(),
-                                    TraceKind::Info,
-                                    format!("{node}"),
-                                    format!("link request {l} rejected: {reason}"),
+                                    NetEvent::LinkRequestRejected {
+                                        node,
+                                        label: l,
+                                        reason,
+                                    },
                                 );
                             }
                         }
@@ -1988,11 +1995,14 @@ impl NetworkModel {
                     let dur = params.gates.two_qubit.duration
                         + params.gates.electron_single.duration
                         + 2.0 * params.gates.readout.duration;
-                    self.trace.record(
+                    emit(
+                        &mut self.log,
                         ctx.now(),
-                        TraceKind::Quantum,
-                        format!("{node}"),
-                        format!("SWAP start ({} x {})", up.correlator, down.correlator),
+                        NetEvent::SwapStart {
+                            node,
+                            up: up.correlator,
+                            down: down.correlator,
+                        },
                     );
                     ctx.schedule_in(
                         SimDuration::from_secs_f64(dur),
@@ -2026,11 +2036,13 @@ impl NetworkModel {
                 }
                 NetOutput::DiscardPair { pair } => {
                     self.discarded_pairs += 1;
-                    self.trace.record(
+                    emit(
+                        &mut self.log,
                         ctx.now(),
-                        TraceKind::Discard,
-                        format!("{node}"),
-                        format!("discard {}", pair.correlator),
+                        NetEvent::Discard {
+                            node,
+                            pair: pair.correlator,
+                        },
                     );
                     self.release_end(ctx, node, pair.correlator, true);
                 }
@@ -2050,11 +2062,14 @@ impl NetworkModel {
                 NetOutput::ApplyCorrection { pair, pauli } => {
                     if let Some(pid) = self.qubit_owner.get(node, pair.correlator) {
                         self.pairs.apply_pauli(pid, node, pauli, ctx.now());
-                        self.trace.record(
+                        emit(
+                            &mut self.log,
                             ctx.now(),
-                            TraceKind::Quantum,
-                            format!("{node}"),
-                            format!("Pauli {pauli:?} correction on {}", pair.correlator),
+                            NetEvent::Pauli {
+                                node,
+                                pauli,
+                                pair: pair.correlator,
+                            },
                         );
                     }
                 }
@@ -2122,14 +2137,15 @@ impl NetworkModel {
                 self.state_mismatches += 1;
             }
         }
-        self.trace.record(
+        emit(
+            &mut self.log,
             now,
-            TraceKind::Delivery,
-            format!("{node}"),
-            format!(
-                "deliver req {} seq {} ({:?})",
-                delivery.request, delivery.sequence, payload
-            ),
+            NetEvent::Deliver {
+                node,
+                request: delivery.request,
+                sequence: delivery.sequence,
+                payload,
+            },
         );
         self.app.deliveries.push(DeliveryRecord {
             time: now,
@@ -2202,11 +2218,13 @@ impl NetworkModel {
         } else {
             self.refs.insert(res.new_pair, new_refs);
         }
-        self.trace.record(
+        emit(
+            &mut self.log,
             ctx.now(),
-            TraceKind::Quantum,
-            format!("{node}"),
-            format!("SWAP done -> {}", res.outcome),
+            NetEvent::SwapDone {
+                node,
+                outcome: res.outcome,
+            },
         );
         let outs = self.nodes[node.0 as usize]
             .qnp
@@ -2242,12 +2260,7 @@ impl NetworkModel {
             row.retain(|(_, info)| info.circuit != circuit);
         }
         self.circuits[circuit.0 as usize] = None;
-        self.trace.record(
-            ctx.now(),
-            TraceKind::Info,
-            "signalling".to_string(),
-            format!("{circuit} torn down"),
-        );
+        emit(&mut self.log, ctx.now(), NetEvent::TornDown { circuit });
     }
 
     fn measure_done(
@@ -2266,11 +2279,15 @@ impl NetworkModel {
         let result = self
             .pairs
             .measure_end(pid, node, basis, &readout, ctx.now(), rng);
-        self.trace.record(
+        emit(
+            &mut self.log,
             ctx.now(),
-            TraceKind::Quantum,
-            format!("{node}"),
-            format!("measure {correlator} in {basis:?} -> {}", result.reported),
+            NetEvent::Measure {
+                node,
+                pair: correlator,
+                basis,
+                outcome: result.reported,
+            },
         );
         // The measured qubit's slot frees immediately; the pair state
         // stays in the store until both ends are done (correlations!).
@@ -2328,12 +2345,7 @@ impl NetworkModel {
             return;
         }
         self.links[link.0 as usize].up = false;
-        self.trace.record(
-            ctx.now(),
-            TraceKind::Info,
-            format!("{a}"),
-            format!("link {a}-{b} DOWN"),
-        );
+        emit(&mut self.log, ctx.now(), NetEvent::LinkDown { a, b });
         self.refresh_link_activity(ctx, link);
         self.scrap_link_pairs(ctx, link);
     }
@@ -2349,12 +2361,7 @@ impl NetworkModel {
             return;
         }
         self.links[link.0 as usize].up = true;
-        self.trace.record(
-            ctx.now(),
-            TraceKind::Info,
-            format!("{a}"),
-            format!("link {a}-{b} UP"),
-        );
+        emit(&mut self.log, ctx.now(), NetEvent::LinkUp { a, b });
         self.refresh_link_activity(ctx, link);
     }
 
@@ -2370,12 +2377,7 @@ impl NetworkModel {
             return;
         }
         self.nodes[idx].up = false;
-        self.trace.record(
-            ctx.now(),
-            TraceKind::Info,
-            format!("{node}"),
-            format!("node {node} CRASH"),
-        );
+        emit(&mut self.log, ctx.now(), NetEvent::NodeCrash { node });
         // Tear down circuits through the node first, while the path
         // metadata is still installed: live path nodes discard their
         // queued pairs and stop their link requests through the normal
@@ -2429,12 +2431,7 @@ impl NetworkModel {
             return;
         }
         self.nodes[idx].up = true;
-        self.trace.record(
-            ctx.now(),
-            TraceKind::Info,
-            format!("{node}"),
-            format!("node {node} RESTART"),
-        );
+        emit(&mut self.log, ctx.now(), NetEvent::NodeRestart { node });
         for link in self.topology.links_of(node) {
             self.refresh_link_activity(ctx, link);
         }
@@ -2697,11 +2694,14 @@ impl Model for NetworkModel {
                         }
                         Err(err) => {
                             self.plane.stats.count_decode_failure(frame.get(1).copied());
-                            self.trace.record(
+                            emit(
+                                &mut self.log,
                                 now,
-                                TraceKind::Info,
-                                format!("{to}"),
-                                format!("undecodable frame dropped: {err}"),
+                                NetEvent::FrameUndecodable {
+                                    node: to,
+                                    plane: FramePlane::Qnp,
+                                    err,
+                                },
                             );
                         }
                     }
@@ -2740,11 +2740,13 @@ impl Model for NetworkModel {
                         .knows_pair(circuit, correlator)
                 {
                     self.discarded_pairs += 1;
-                    self.trace.record(
+                    emit(
+                        &mut self.log,
                         now,
-                        TraceKind::Discard,
-                        format!("{node}"),
-                        format!("orphaned pair {correlator} reclaimed"),
+                        NetEvent::OrphanReclaimed {
+                            node,
+                            pair: correlator,
+                        },
                     );
                     self.release_end(ctx, node, correlator, true);
                     let outs = self.nodes[node.0 as usize]

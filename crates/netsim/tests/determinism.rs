@@ -1,5 +1,5 @@
 //! Determinism regression: two runs with the same seed must be
-//! bit-identical — same event trace, same deliveries, same statistics.
+//! bit-identical — same event log, same deliveries, same statistics.
 //! This is the property the named RNG substreams of `qn_sim::SimRng`
 //! exist to protect; any accidental nondeterminism (hash-map iteration
 //! order, uninitialised state, wall-clock leakage) shows up here.
@@ -7,6 +7,7 @@
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_net::{Address, Demand, RequestId, RequestType, UserRequest};
 use qn_netsim::build::{NetSim, NetworkBuilder};
+use qn_netsim::NetEvent;
 use qn_routing::{dumbbell, wide_dumbbell, CutoffPolicy, Dumbbell};
 use qn_sim::{NodeId, SimDuration, SimTime};
 
@@ -53,8 +54,15 @@ fn run_scenario(seed: u64) -> (NetSim, Dumbbell) {
     (sim, d)
 }
 
+type Fingerprint = (
+    Vec<(SimTime, NetEvent)>,
+    u64,
+    u64,
+    Vec<(u64, u32, u64, u64, Option<u64>)>,
+);
+
 /// Everything observable about a run, with floats captured bit-exactly.
-fn fingerprint(sim: &NetSim) -> (String, u64, u64, Vec<(u64, u32, u64, u64, Option<u64>)>) {
+fn fingerprint(sim: &NetSim) -> Fingerprint {
     let deliveries = sim
         .app()
         .deliveries
@@ -70,7 +78,7 @@ fn fingerprint(sim: &NetSim) -> (String, u64, u64, Vec<(u64, u32, u64, u64, Opti
         })
         .collect();
     (
-        sim.trace().render(),
+        sim.log().expect("the log is on").events().to_vec(),
         sim.events_processed(),
         sim.discarded_pairs(),
         deliveries,
@@ -86,9 +94,9 @@ fn same_seed_reproduces_trace_and_stats_exactly() {
     assert_eq!(fa.1, fb.1, "event counts diverged");
     assert_eq!(fa.2, fb.2, "discard counts diverged");
     assert_eq!(fa.3, fb.3, "deliveries diverged");
-    assert_eq!(fa.0, fb.0, "event traces diverged");
+    assert_eq!(fa.0, fb.0, "event logs diverged");
     assert!(!fa.3.is_empty(), "scenario must actually deliver pairs");
-    assert!(!fa.0.is_empty(), "trace must actually record rows");
+    assert!(!fa.0.is_empty(), "the log must actually record events");
 }
 
 #[test]
@@ -133,7 +141,7 @@ fn wide_dumbbells_reproduce_exactly() {
         assert_eq!(fa.1, fb.1, "width {width}: event counts diverged");
         assert_eq!(fa.2, fb.2, "width {width}: discard counts diverged");
         assert_eq!(fa.3, fb.3, "width {width}: deliveries diverged");
-        assert_eq!(fa.0, fb.0, "width {width}: event traces diverged");
+        assert_eq!(fa.0, fb.0, "width {width}: event logs diverged");
         assert!(
             !fa.3.is_empty(),
             "width {width}: scenario must actually deliver pairs"

@@ -45,7 +45,6 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Context, Model, RunOutcome, Simulation};
 pub use ids::{LinkId, NodeId};
@@ -53,4 +52,3 @@ pub use queue::{EventId, EventQueue};
 pub use rng::SimRng;
 pub use stats::{OnlineStats, RateMeter, Samples};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceKind, TraceRow};

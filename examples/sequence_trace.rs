@@ -1,5 +1,6 @@
 //! Reproduce the paper's **Figure 6** — the example message sequence of
-//! the QNP — as a live protocol trace on a 4-node chain.
+//! the QNP — as a rendering of the protocol event log of a live run on
+//! a 4-node chain.
 //!
 //! Expected flow (paper): REQUEST → FORWARD cascade → link-pair
 //! generation on each link → immediate SWAPs at the repeaters → TRACK
@@ -10,10 +11,12 @@
 //! cargo run --release --example sequence_trace
 //! ```
 
+use qnp::netsim::{EventLog, NetEvent};
 use qnp::prelude::*;
 use qnp::routing::chain;
 
-fn main() {
+/// The Fig 6 run: one single-pair KEEP request from Alice to Bob.
+pub fn fig6() -> NetSim {
     // Four nodes: Alice(0) — R1(1) — R2(2) — Bob(3), lab links.
     let topology = chain(4, HardwareParams::simulation(), FibreParams::lab_2m());
     let mut sim = NetworkBuilder::new(topology).seed(11).with_trace().build();
@@ -44,28 +47,46 @@ fn main() {
         },
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
+    sim
+}
 
-    println!("# Figure 6 — QNP message sequence (4-node circuit, 1 pair)");
-    println!("#");
-    println!("{}", sim.trace().render());
+fn is_msg(e: &NetEvent, name: &str) -> bool {
+    matches!(e, NetEvent::MsgSent { kind, .. } if *kind == name)
+}
 
-    // Verify the canonical ordering of Fig 6 appears in the trace.
-    let rows = sim.trace().rows();
-    let first = |needle: &str| {
-        rows.iter()
-            .position(|r| r.text.contains(needle))
+/// The printed figure: the rendered log, after checking that it shows
+/// the canonical ordering of Fig 6.
+pub fn report(log: &EventLog) -> String {
+    let events = log.events();
+    let first = |want: &dyn Fn(&NetEvent) -> bool| {
+        events
+            .iter()
+            .position(|(_, e)| want(e))
             .unwrap_or(usize::MAX)
     };
-    let forward = first("FORWARD");
-    let pair = first("pair");
-    let swap = first("SWAP start");
-    let track = first("TRACK");
-    let deliver = first("deliver");
-    let complete = first("COMPLETE");
+    let forward = first(&|e| is_msg(e, "FORWARD"));
+    let pair = first(&|e| matches!(e, NetEvent::LinkPair { .. }));
+    let swap = first(&|e| matches!(e, NetEvent::SwapStart { .. }));
+    let track = first(&|e| is_msg(e, "TRACK"));
+    let deliver = first(&|e| matches!(e, NetEvent::Deliver { .. }));
+    let complete = first(&|e| is_msg(e, "COMPLETE"));
     assert!(forward < pair, "FORWARD precedes link generation");
     assert!(pair < swap, "link pairs precede swaps");
     assert!(track != usize::MAX && swap != usize::MAX);
     assert!(deliver > swap, "delivery follows the swaps");
     assert!(complete > deliver, "COMPLETE closes the request");
-    println!("# sequence order check: FORWARD → pairs → SWAP → TRACK → PAIR → COMPLETE  ✓");
+    format!(
+        "# Figure 6 — QNP message sequence (4-node circuit, 1 pair)\n#\n{}\n\
+         # sequence order check: FORWARD → pairs → SWAP → TRACK → PAIR → COMPLETE  ✓\n",
+        log.render()
+    )
+}
+
+#[allow(dead_code)] // the golden test includes this file as a module
+fn main() {
+    let sim = fig6();
+    print!(
+        "{}",
+        report(sim.log().expect("the run records its event log"))
+    );
 }
