@@ -53,7 +53,9 @@ fn bench_density_matrix(c: &mut Criterion) {
         // One persistent store (the in-run shape: conditional-map
         // tables amortise across swaps); pairs recreated per iteration
         // because the swap consumes them. Runs on the `QNP_QSTATE`
-        // default representation.
+        // default representation. Under `QNP_QSTATE=dm` it explains
+        // perfbench `dumbbell_dm`'s `qn_netsim.SwapDone.self_s` per
+        // event, the bulk of its `layer.qops`.
         let params = HardwareParams::simulation();
         let noise = SwapNoise::from_params(&params);
         let mut store = PairStore::new();
@@ -110,11 +112,18 @@ fn bench_pair_representations(c: &mut Criterion) {
             });
         });
 
+        // `_dm`: the dense two-qubit depolarizing channel, here on one
+        // 4×4 pair. On the 4-qubit register of the dense swap it is the
+        // largest step of `qn_netsim.SwapDone.self_s` (and so of
+        // `layer.qops`) on perfbench `dumbbell_dm`.
         c.bench_function(&format!("pair_kraus_2q_{tag}"), |b| {
             let mut state = PairState::from_density(BellState::PSI_PLUS.density(), rep);
             b.iter(|| state.depolarize_2q(1e-3));
         });
 
+        // `_dm`: one dense noisy swap, the cost behind perfbench
+        // `dumbbell_dm`'s `qn_netsim.SwapDone.self_s` per event and the
+        // bulk of its `layer.qops`.
         c.bench_function(&format!("pair_swap_{tag}"), |b| {
             let mut store = PairStore::with_rep(rep);
             let mut rng = SimRng::from_seed(7);

@@ -25,7 +25,6 @@
 
 use crate::pairs::{PairId, PairStore, SwapNoise};
 use qn_quantum::bell::BellState;
-use qn_quantum::channels;
 use qn_quantum::gates;
 use qn_sim::{NodeId, SimRng, SimTime};
 
@@ -104,7 +103,7 @@ impl PairStore {
         // Fast path: one conditional-map table contraction instead of
         // the 16×16 joint-register circuit.
         let fast = bell_inputs.and_then(|(x, y)| {
-            self.distill_table(noise.p_two_qubit, b0_at_na).map(|t| {
+            self.distill_table(noise.p_two_qubit(), b0_at_na).map(|t| {
                 let u1 = rng.f64();
                 let u2 = rng.f64();
                 t.apply(&x, &y, u1, u2)
@@ -124,11 +123,8 @@ impl PairStore {
                 // Bilateral CNOTs with two-qubit gate noise.
                 for (ctrl, tgt) in [(0usize, b_at_na), (1usize, b_at_nb)] {
                     joint.apply_unitary(&gates::cnot(), &[ctrl, tgt]);
-                    if noise.p_two_qubit > 0.0 {
-                        joint.apply_kraus(
-                            &channels::depolarizing_2q(noise.p_two_qubit),
-                            &[ctrl, tgt],
-                        );
+                    if noise.p_two_qubit() > 0.0 {
+                        joint.apply_kraus(noise.depol_two(), &[ctrl, tgt]);
                     }
                 }
                 // Measure the sacrificed qubits in Z.
@@ -157,9 +153,9 @@ impl PairStore {
 
 fn flip_with_readout(outcome: bool, noise: &SwapNoise, rng: &mut SimRng) -> bool {
     let fid = if outcome {
-        noise.readout.fidelity1
+        noise.readout().fidelity1
     } else {
-        noise.readout.fidelity0
+        noise.readout().fidelity0
     };
     if rng.bernoulli(1.0 - fid) {
         !outcome
@@ -177,15 +173,15 @@ mod tests {
     use qn_quantum::DensityMatrix;
 
     fn perfect_noise() -> SwapNoise {
-        SwapNoise {
-            p_two_qubit: 0.0,
-            p_single: 0.0,
-            readout: ReadoutSpec {
+        SwapNoise::new(
+            0.0,
+            0.0,
+            ReadoutSpec {
                 fidelity0: 1.0,
                 fidelity1: 1.0,
                 duration: 0.0,
             },
-        }
+        )
     }
 
     fn werner(f: f64) -> DensityMatrix {

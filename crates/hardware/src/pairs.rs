@@ -35,7 +35,7 @@ use qn_quantum::channels;
 use qn_quantum::gates::{self, Pauli};
 use qn_quantum::measure::swap_circuit_outcome;
 use qn_quantum::pairstate::{BellDiagonal, CondTable, PairState, StateRep};
-use qn_quantum::DensityMatrix;
+use qn_quantum::{CMatrix, DensityMatrix};
 use qn_sim::{NodeId, SimRng, SimTime};
 
 /// Identifier of a live entangled pair: slot index in the low 32 bits,
@@ -135,27 +135,52 @@ fn vacant_state() -> PairState {
 }
 
 /// Noise model of the swap circuit, derived from [`HardwareParams`].
-#[derive(Clone, Copy, Debug)]
+/// The Kraus sets of its two gate-noise channels are built once, here,
+/// and reused by every dense swap and distillation round.
+#[derive(Clone, Debug)]
 pub struct SwapNoise {
-    /// Two-qubit depolarizing probability (from the E-C gate fidelity).
-    pub p_two_qubit: f64,
-    /// Single-qubit depolarizing probability (from the electron gate).
-    pub p_single: f64,
-    /// Readout error model.
-    pub readout: ReadoutSpec,
+    p_two_qubit: f64,
+    p_single: f64,
+    readout: ReadoutSpec,
+    depol_two: Vec<CMatrix>,
+    depol_single: Vec<CMatrix>,
 }
 
 impl SwapNoise {
+    /// A noise model from its two depolarizing probabilities and its
+    /// readout model.
+    pub fn new(p_two_qubit: f64, p_single: f64, readout: ReadoutSpec) -> Self {
+        SwapNoise {
+            p_two_qubit,
+            p_single,
+            readout,
+            depol_two: channels::depolarizing_2q(p_two_qubit),
+            depol_single: channels::depolarizing(p_single),
+        }
+    }
+
     /// Derive from a hardware parameter set.
     pub fn from_params(p: &HardwareParams) -> Self {
-        SwapNoise {
-            p_two_qubit: channels::depolarizing_param_for_fidelity(p.gates.two_qubit.fidelity, 4),
-            p_single: channels::depolarizing_param_for_fidelity(
-                p.gates.electron_single.fidelity,
-                2,
-            ),
-            readout: p.gates.readout,
-        }
+        SwapNoise::new(
+            channels::depolarizing_param_for_fidelity(p.gates.two_qubit.fidelity, 4),
+            channels::depolarizing_param_for_fidelity(p.gates.electron_single.fidelity, 2),
+            p.gates.readout,
+        )
+    }
+
+    /// Two-qubit depolarizing probability (from the E-C gate fidelity).
+    pub(crate) fn p_two_qubit(&self) -> f64 {
+        self.p_two_qubit
+    }
+
+    /// Readout error model.
+    pub(crate) fn readout(&self) -> &ReadoutSpec {
+        &self.readout
+    }
+
+    /// Kraus set of the two-qubit depolarizing channel.
+    pub(crate) fn depol_two(&self) -> &[CMatrix] {
+        &self.depol_two
     }
 }
 
@@ -654,12 +679,12 @@ impl PairStore {
                 // Noisy CNOT.
                 joint.apply_unitary(&gates::cnot(), &[qa, qb]);
                 if noise.p_two_qubit > 0.0 {
-                    joint.apply_kraus(&channels::depolarizing_2q(noise.p_two_qubit), &[qa, qb]);
+                    joint.apply_kraus(&noise.depol_two, &[qa, qb]);
                 }
                 // Noisy H on the control.
                 joint.apply_unitary(&gates::h(), &[qa]);
                 if noise.p_single > 0.0 {
-                    joint.apply_kraus(&channels::depolarizing(noise.p_single), &[qa]);
+                    joint.apply_kraus(&noise.depol_single, &[qa]);
                 }
                 // Physical measurements: true outcomes collapse the state.
                 let m_control = joint.measure_z(qa, rng.f64());
@@ -953,11 +978,7 @@ mod tests {
                 (NodeId(2), QubitId(0), 3600.0, 60.0),
             ],
         );
-        let noise = SwapNoise {
-            p_two_qubit: 0.0,
-            p_single: 0.0,
-            readout: perfect_readout(),
-        };
+        let noise = SwapNoise::new(0.0, 0.0, perfect_readout());
         let mut rng = SimRng::from_seed(7);
         let res = store.swap(a, b, NodeId(1), now, &noise, &mut rng);
         let pair = store.get(res.new_pair).unwrap();
@@ -976,11 +997,11 @@ mod tests {
     #[test]
     fn noisy_swap_reduces_fidelity_as_formula_predicts() {
         let mut rng = SimRng::from_seed(11);
-        let noise = SwapNoise {
-            p_two_qubit: channels::depolarizing_param_for_fidelity(0.998, 4),
-            p_single: 0.0,
-            readout: perfect_readout(),
-        };
+        let noise = SwapNoise::new(
+            channels::depolarizing_param_for_fidelity(0.998, 4),
+            0.0,
+            perfect_readout(),
+        );
         let mut total = 0.0;
         let n = 20;
         for _ in 0..n {
@@ -1022,15 +1043,15 @@ mod tests {
                 (NodeId(2), QubitId(0), 3600.0, 60.0),
             ],
         );
-        let noise = SwapNoise {
-            p_two_qubit: 0.0,
-            p_single: 0.0,
-            readout: ReadoutSpec {
+        let noise = SwapNoise::new(
+            0.0,
+            0.0,
+            ReadoutSpec {
                 fidelity0: 0.0,
                 fidelity1: 0.0,
                 duration: 0.0,
             },
-        };
+        );
         let mut rng = SimRng::from_seed(3);
         let res = store.swap(a, b, NodeId(1), now, &noise, &mut rng);
         // Announced state uses double-flipped bits: fidelity of the DM to

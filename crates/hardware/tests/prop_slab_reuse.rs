@@ -228,13 +228,13 @@ impl ModelSpec for ReuseSpec {
             Op::Swap { fresh } => {
                 let (pa, pb) = w.ids[0];
                 let (qa, qb) = w.ids[1];
-                let noise = w.noise;
+                let noise = &w.noise;
                 let ra = w
                     .fresh
-                    .swap(pa, qa, NodeId(1), w.now, &noise, &mut w.rng_fresh);
+                    .swap(pa, qa, NodeId(1), w.now, noise, &mut w.rng_fresh);
                 let rb = w
                     .worn
-                    .swap(pb, qb, NodeId(1), w.now, &noise, &mut w.rng_worn);
+                    .swap(pb, qb, NodeId(1), w.now, noise, &mut w.rng_worn);
                 if ra.outcome != rb.outcome {
                     return Err(format!(
                         "swap outcomes diverge: fresh {} vs worn {}",
@@ -262,9 +262,9 @@ impl ModelSpec for ReuseSpec {
             Op::Distill { fresh } => {
                 let (pa, pb) = w.ids[0];
                 let (ra, rb) = w.ids[2];
-                let noise = w.noise;
-                let da = w.fresh.distill(pa, ra, w.now, &noise, &mut w.rng_fresh);
-                let db = w.worn.distill(pb, rb, w.now, &noise, &mut w.rng_worn);
+                let noise = &w.noise;
+                let da = w.fresh.distill(pa, ra, w.now, noise, &mut w.rng_fresh);
+                let db = w.worn.distill(pb, rb, w.now, noise, &mut w.rng_worn);
                 if da.success != db.success {
                     return Err(format!(
                         "distill verdicts diverge: fresh {} vs worn {}",

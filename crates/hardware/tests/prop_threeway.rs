@@ -235,13 +235,13 @@ impl ModelSpec for ThreeWaySpec {
             Op::Swap { fresh } => {
                 let (pb, pd) = w.ids[0];
                 let (qb, qd) = w.ids[1];
-                let noise = w.noise;
+                let noise = &w.noise;
                 let rb = w
                     .bell
-                    .swap(pb, qb, NodeId(1), w.now, &noise, &mut w.rng_bell);
+                    .swap(pb, qb, NodeId(1), w.now, noise, &mut w.rng_bell);
                 let rd = w
                     .dense
-                    .swap(pd, qd, NodeId(1), w.now, &noise, &mut w.rng_dense);
+                    .swap(pd, qd, NodeId(1), w.now, noise, &mut w.rng_dense);
                 if rb.outcome != rd.outcome {
                     return Err(format!(
                         "swap outcomes diverge: bell {} vs dense {}",
@@ -271,9 +271,9 @@ impl ModelSpec for ThreeWaySpec {
             Op::Distill { fresh } => {
                 let (pb, pd) = w.ids[0];
                 let (rb, rd) = w.ids[2];
-                let noise = w.noise;
-                let resb = w.bell.distill(pb, rb, w.now, &noise, &mut w.rng_bell);
-                let resd = w.dense.distill(pd, rd, w.now, &noise, &mut w.rng_dense);
+                let noise = &w.noise;
+                let resb = w.bell.distill(pb, rb, w.now, noise, &mut w.rng_bell);
+                let resd = w.dense.distill(pd, rd, w.now, noise, &mut w.rng_dense);
                 if resb.success != resd.success {
                     return Err(format!(
                         "distill verdicts diverge: bell {} vs dense {}",
@@ -405,15 +405,15 @@ fn representations_agree_with_perfect_circuits() {
         }
         fn new_system(&self) -> World {
             let mut w = ThreeWaySpec.new_system();
-            w.noise = SwapNoise {
-                p_two_qubit: 0.0,
-                p_single: 0.0,
-                readout: qn_hardware::ReadoutSpec {
+            w.noise = SwapNoise::new(
+                0.0,
+                0.0,
+                qn_hardware::ReadoutSpec {
                     fidelity0: 1.0,
                     fidelity1: 1.0,
                     duration: 0.0,
                 },
-            };
+            );
             w
         }
         fn op_strategy(&self) -> BoxedStrategy<Op> {

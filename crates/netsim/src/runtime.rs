@@ -354,6 +354,9 @@ pub enum Ev {
 struct NodeRt {
     qnp: QnpNode,
     device: QDevice,
+    /// The swap circuit's noise, built from the device parameters on
+    /// the node's first swap.
+    swap_noise: Option<SwapNoise>,
     /// False while the node is crashed: it processes no frames, its
     /// links do not generate, and its volatile protocol state is gone.
     up: bool,
@@ -676,6 +679,7 @@ impl NetworkModel {
             nodes.push(NodeRt {
                 qnp: QnpNode::new(*id),
                 device,
+                swap_noise: None,
                 up: true,
             });
         }
@@ -2184,11 +2188,14 @@ impl NetworkModel {
             // Circuit torn down mid-swap; the SM state went with it.
             return;
         };
-        let noise = SwapNoise::from_params(self.nodes[node.0 as usize].device.params());
+        let rt = &mut self.nodes[node.0 as usize];
+        let noise = rt
+            .swap_noise
+            .get_or_insert_with(|| SwapNoise::from_params(rt.device.params()));
         let rng = &mut self.rng_nodes[node.0 as usize];
         let res = self
             .pairs
-            .swap(up_pid, down_pid, node, ctx.now(), &noise, rng);
+            .swap(up_pid, down_pid, node, ctx.now(), noise, rng);
         // Free the two local slots.
         for (n, q) in res.freed {
             debug_assert_eq!(n, node);

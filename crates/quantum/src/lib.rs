@@ -5,6 +5,9 @@
 //!
 //! * [`state::DensityMatrix`] — mixed states of 1–4 qubits with unitary
 //!   application, Kraus channels, measurement and partial trace;
+//! * [`kernel`] — the local operator kernel: gates and Kraus channels
+//!   applied on their target qubits, Z projection as a mask, partial
+//!   trace;
 //! * [`pairstate`] — the dual-representation pair-state layer: the
 //!   [`pairstate::BellDiagonal`] closed-form fast path (selected by the
 //!   `QNP_QSTATE` knob) with the density matrix as general fallback,
@@ -46,6 +49,7 @@ pub mod channels;
 pub mod complex;
 pub mod formulas;
 pub mod gates;
+pub mod kernel;
 pub mod matrix;
 pub mod measure;
 pub mod pairstate;

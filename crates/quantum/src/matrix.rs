@@ -9,12 +9,12 @@
 //! entries (every 1- and 2-qubit gate, every Kraus operator, and — most
 //! importantly — every 4×4 pair state) live inline in the struct; only
 //! the 8×8/16×16 joint registers of swap and distillation circuits
-//! spill to the heap, and the in-place kernels ([`CMatrix::mul_into`],
-//! [`CMatrix::mul_dagger_into`]) let callers reuse those buffers across
-//! operations. The inline capacity is deliberately *not* 16×16: a 4 KiB
-//! always-inline matrix would make cloning pair states and building
-//! 16-element Kraus sets far more expensive than the allocations it
-//! avoids.
+//! spill to the heap. Gates and channels are applied to a register by
+//! [`crate::kernel`], which works on the target qubits directly and
+//! reuses its buffers across operations. The inline capacity is
+//! deliberately *not* 16×16: a 4 KiB always-inline matrix would make
+//! cloning pair states and building 16-element Kraus sets far more
+//! expensive than the allocations it avoids.
 
 use crate::complex::C64;
 use std::fmt;
@@ -136,35 +136,6 @@ impl CMatrix {
                     os[orow + j] += x * bs[brow + j];
                 }
             }
-        }
-    }
-
-    /// `out = a · b†` without materialising `b†`, reusing `out`'s
-    /// storage. Loop order matches `&a * &b.dagger()` exactly.
-    pub fn mul_dagger_into(a: &CMatrix, b: &CMatrix, out: &mut CMatrix) {
-        assert_eq!(a.cols, b.cols, "dimension mismatch in a·b†");
-        out.reset_zeros(a.rows, b.rows);
-        let os = out.data.as_mut_slice();
-        for i in 0..a.rows {
-            for k in 0..a.cols {
-                let x = a[(i, k)];
-                if x == C64::ZERO {
-                    continue;
-                }
-                let orow = i * b.rows;
-                for j in 0..b.rows {
-                    os[orow + j] += x * b[(j, k)].conj();
-                }
-            }
-        }
-    }
-
-    /// Entry-wise `self += other`.
-    pub fn add_assign_mat(&mut self, other: &CMatrix) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let os = other.data.as_slice();
-        for (a, b) in self.data.as_mut_slice().iter_mut().zip(os) {
-            *a += *b;
         }
     }
 
@@ -328,52 +299,10 @@ impl CMatrix {
     pub fn data(&self) -> &[C64] {
         self.data.as_slice()
     }
-}
 
-/// Expand a `k`-qubit operator onto the given (distinct) target qubits
-/// of an `n`-qubit space. The first target corresponds to the most
-/// significant bit of the operator's index (qubit 0 = MSB, matching
-/// [`crate::gates`]).
-pub fn embed_op(n: usize, op: &CMatrix, targets: &[usize]) -> CMatrix {
-    let mut out = CMatrix::zeros(1 << n, 1 << n);
-    embed_op_into(n, op, targets, &mut out);
-    out
-}
-
-/// [`embed_op`] writing into a caller-provided buffer.
-pub fn embed_op_into(n: usize, op: &CMatrix, targets: &[usize], out: &mut CMatrix) {
-    let k = targets.len();
-    assert_eq!(op.rows(), 1 << k, "operator size mismatch");
-    assert!(targets.iter().all(|q| *q < n), "target out of range");
-    {
-        let mut seen = 0usize;
-        for q in targets {
-            assert!(seen & (1 << q) == 0, "duplicate target {q}");
-            seen |= 1 << q;
-        }
-    }
-    let dim = 1usize << n;
-    let target_mask: usize = targets.iter().map(|q| 1usize << (n - 1 - q)).sum();
-    out.reset_zeros(dim, dim);
-    for i in 0..dim {
-        // Sub-index of i over the targets (first target = MSB).
-        let mut ti = 0usize;
-        for q in targets {
-            ti = (ti << 1) | ((i >> (n - 1 - q)) & 1);
-        }
-        let rest = i & !target_mask;
-        for tj in 0..(1usize << k) {
-            let v = op[(ti, tj)];
-            if v == C64::ZERO {
-                continue;
-            }
-            let mut j = rest;
-            for (pos, q) in targets.iter().enumerate() {
-                let bit = (tj >> (k - 1 - pos)) & 1;
-                j |= bit << (n - 1 - q);
-            }
-            out[(i, j)] = v;
-        }
+    /// Raw row-major data, mutable (for the in-crate kernels).
+    pub(crate) fn data_mut(&mut self) -> &mut [C64] {
+        self.data.as_mut_slice()
     }
 }
 
@@ -537,29 +466,11 @@ mod tests {
     }
 
     #[test]
-    fn mul_dagger_into_matches_explicit_dagger() {
-        let a = CMatrix::from_rows(&[
-            &[C64::new(1.0, 2.0), C64::new(0.0, -1.0)],
-            &[C64::new(3.0, 0.5), C64::new(0.0, 4.0)],
-        ]);
-        let b = CMatrix::from_rows(&[
-            &[C64::new(0.5, -1.0), C64::new(2.0, 0.0)],
-            &[C64::new(0.0, 1.5), C64::new(-1.0, 0.25)],
-        ]);
-        let mut out = CMatrix::zeros(2, 2);
-        CMatrix::mul_dagger_into(&a, &b, &mut out);
-        assert_eq!(out, &a * &b.dagger());
-    }
-
-    #[test]
-    fn add_assign_and_scale_in_place() {
+    fn scale_in_place_matches_scale() {
         let a = CMatrix::from_reals(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let b = CMatrix::from_reals(2, 2, &[0.5, 0.5, 0.5, 0.5]);
-        let mut acc = a.clone();
-        acc.add_assign_mat(&b);
-        assert_eq!(acc, &a + &b);
-        acc.scale_in_place(2.0);
-        assert_eq!(acc, (&a + &b).scale(2.0));
+        let mut b = a.clone();
+        b.scale_in_place(2.0);
+        assert_eq!(b, a.scale(2.0));
     }
 
     #[test]
@@ -580,15 +491,6 @@ mod tests {
         let a = CMatrix::from_reals(2, 2, &[1.0, 2.0, 3.0, 4.0]);
         let b = &a + &CMatrix::zeros(2, 2);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn embed_op_identity_on_rest() {
-        // X on qubit 1 of a 2-qubit space: I ⊗ X.
-        let x = CMatrix::from_reals(2, 2, &[0.0, 1.0, 1.0, 0.0]);
-        let full = embed_op(2, &x, &[1]);
-        let expect = CMatrix::identity(2).kron(&x);
-        assert!(full.approx_eq(&expect, 0.0));
     }
 
     #[test]

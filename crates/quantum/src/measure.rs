@@ -14,6 +14,7 @@
 use crate::bell::BellState;
 use crate::complex::C64;
 use crate::gates::{self, Pauli};
+use crate::kernel;
 use crate::matrix::CMatrix;
 use crate::state::DensityMatrix;
 
@@ -63,15 +64,17 @@ pub fn bell_measure_ideal(
     assert!(rho.num_qubits() >= 2);
     assert_ne!(qa, qb);
 
-    // Outcome probabilities.
-    let fulls: Vec<CMatrix> = BellState::ALL
+    // Each outcome's unnormalised branch PρP; its trace is the outcome
+    // probability.
+    let branches: Vec<CMatrix> = BellState::ALL
         .iter()
-        .map(|b| rho.embed(&projector(b.amplitudes()), &[qa, qb]))
+        .map(|b| {
+            let mut m = rho.matrix().clone();
+            kernel::sandwich(&mut m, &[projector(b.amplitudes())], &[qa, qb]);
+            m
+        })
         .collect();
-    let probs: Vec<f64> = fulls
-        .iter()
-        .map(|full| (full * rho.matrix()).trace().re.max(0.0))
-        .collect();
+    let probs: Vec<f64> = branches.iter().map(|m| m.trace().re.max(0.0)).collect();
     let total: f64 = probs.iter().sum();
     debug_assert!(
         (total - 1.0).abs() < 1e-6,
@@ -90,9 +93,8 @@ pub fn bell_measure_ideal(
     }
     let outcome = BellState::ALL[chosen];
 
-    // Project only the selected branch and renormalise.
-    let full = &fulls[chosen];
-    let projected = &(full * rho.matrix()) * full;
+    // Renormalise the selected branch.
+    let projected = &branches[chosen];
     let p = projected.trace().re;
     let normalised = projected.scale(1.0 / p.max(1e-300));
 

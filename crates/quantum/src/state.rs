@@ -10,31 +10,11 @@
 //! and trivially deterministic to test.
 
 use crate::complex::C64;
-use crate::matrix::{embed_op_into, CMatrix};
-use std::cell::RefCell;
+use crate::kernel;
+use crate::matrix::CMatrix;
 
 /// Tolerance for trace/hermiticity sanity checks.
 const EPS: f64 = 1e-9;
-
-/// Reusable per-thread work buffers for the in-place kernels: the hot
-/// paths (`apply_unitary`, `apply_kraus`, `project_z`) allocate nothing
-/// after the first 16×16 operation on a thread. The buffers never nest
-/// (no kernel calls another kernel while holding the borrow).
-struct Scratch {
-    full: CMatrix,
-    tmp: CMatrix,
-    term: CMatrix,
-    acc: CMatrix,
-}
-
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
-        full: CMatrix::zeros(1, 1),
-        tmp: CMatrix::zeros(1, 1),
-        term: CMatrix::zeros(1, 1),
-        acc: CMatrix::zeros(1, 1),
-    });
-}
 
 /// A mixed state of `n` qubits as a 2ⁿ×2ⁿ density matrix.
 ///
@@ -154,45 +134,21 @@ impl DensityMatrix {
         }
     }
 
-    /// Expand a `k`-qubit operator onto the given (distinct) target qubits
-    /// of this state's space. The first target corresponds to the most
-    /// significant bit of the operator's index.
-    pub fn embed(&self, op: &CMatrix, targets: &[usize]) -> CMatrix {
-        crate::matrix::embed_op(self.n, op, targets)
-    }
-
-    /// Apply a unitary to the given target qubits: `ρ ← UρU†`.
-    /// Allocation-free after warm-up: embedding and both products go
-    /// through the per-thread scratch buffers, with arithmetic order
-    /// identical to the textbook `U·ρ·U†` expression.
+    /// Apply a unitary to the given target qubits: `ρ ← UρU†`, through
+    /// the local kernel ([`crate::kernel::sandwich`]): allocation-free
+    /// after warm-up, and bit-identical to the dense product with `U`
+    /// embedded into the whole register.
     pub fn apply_unitary(&mut self, u: &CMatrix, targets: &[usize]) {
-        SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            embed_op_into(self.n, u, targets, &mut s.full);
-            CMatrix::mul_into(&s.full, &self.m, &mut s.tmp);
-            CMatrix::mul_dagger_into(&s.tmp, &s.full, &mut s.acc);
-            std::mem::swap(&mut self.m, &mut s.acc);
-        });
+        kernel::sandwich(&mut self.m, std::slice::from_ref(u), targets);
     }
 
     /// Apply a Kraus channel `{Kᵢ}` to the given targets:
     /// `ρ ← Σᵢ KᵢρKᵢ†`. The set must be trace preserving (checked loosely).
-    /// In-place via the scratch buffers; each term is fully formed before
-    /// being accumulated so the summation order (and therefore the exact
-    /// floating-point result) matches the allocating formulation.
+    /// Runs through the local kernel ([`crate::kernel::sandwich`]), which
+    /// forms each term's entries in full before accumulating them, so the
+    /// result is bit-identical to the dense, embedded formulation.
     pub fn apply_kraus(&mut self, kraus: &[CMatrix], targets: &[usize]) {
-        let dim = self.dim();
-        SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            s.acc.reset_zeros(dim, dim);
-            for k in kraus {
-                embed_op_into(self.n, k, targets, &mut s.full);
-                CMatrix::mul_into(&s.full, &self.m, &mut s.tmp);
-                CMatrix::mul_dagger_into(&s.tmp, &s.full, &mut s.term);
-                s.acc.add_assign_mat(&s.term);
-            }
-            std::mem::swap(&mut self.m, &mut s.acc);
-        });
+        kernel::sandwich(&mut self.m, kraus, targets);
         let tr = self.m.trace().re;
         debug_assert!(
             (tr - 1.0).abs() < 1e-6,
@@ -228,23 +184,10 @@ impl DensityMatrix {
     }
 
     /// Project `qubit` onto the Z eigenstate `outcome` and renormalise.
+    /// The projection is a mask ([`crate::kernel::mask_z`]).
     /// Panics (debug) if the outcome has ~zero probability.
     pub fn project_z(&mut self, qubit: usize, outcome: bool) {
-        let shift = self.n - 1 - qubit;
-        let dim = self.dim();
-        let want = usize::from(outcome);
-        SCRATCH.with(|s| {
-            let s = &mut *s.borrow_mut();
-            s.full.reset_zeros(dim, dim);
-            for i in 0..dim {
-                if (i >> shift) & 1 == want {
-                    s.full[(i, i)] = C64::ONE;
-                }
-            }
-            CMatrix::mul_into(&s.full, &self.m, &mut s.tmp);
-            CMatrix::mul_into(&s.tmp, &s.full, &mut s.acc);
-            std::mem::swap(&mut self.m, &mut s.acc);
-        });
+        kernel::mask_z(&mut self.m, qubit, outcome);
         let p = self.m.trace().re;
         debug_assert!(p > 1e-12, "projecting onto zero-probability outcome");
         self.m.scale_in_place(1.0 / p.max(1e-300));
@@ -252,38 +195,10 @@ impl DensityMatrix {
 
     /// Partial trace keeping the listed qubits, in the order given.
     pub fn partial_trace_keep(&self, keep: &[usize]) -> DensityMatrix {
-        let n = self.n;
-        let k = keep.len();
-        assert!(k >= 1 && k <= n);
-        let rest: Vec<usize> = (0..n).filter(|q| !keep.contains(q)).collect();
-        let kdim = 1usize << k;
-        let rdim = 1usize << rest.len();
-        let mut out = CMatrix::zeros(kdim, kdim);
-
-        // Build a full index from sub-indices over `keep` and `rest`.
-        let compose = |a: usize, r: usize| -> usize {
-            let mut idx = 0usize;
-            for (pos, q) in keep.iter().enumerate() {
-                let bit = (a >> (k - 1 - pos)) & 1;
-                idx |= bit << (n - 1 - q);
-            }
-            for (pos, q) in rest.iter().enumerate() {
-                let bit = (r >> (rest.len() - 1 - pos)) & 1;
-                idx |= bit << (n - 1 - q);
-            }
-            idx
-        };
-
-        for a in 0..kdim {
-            for b in 0..kdim {
-                let mut sum = C64::ZERO;
-                for r in 0..rdim {
-                    sum += self.m[(compose(a, r), compose(b, r))];
-                }
-                out[(a, b)] = sum;
-            }
+        DensityMatrix {
+            n: keep.len(),
+            m: kernel::partial_trace(&self.m, keep),
         }
-        DensityMatrix { n: k, m: out }
     }
 
     /// Fidelity against a pure target state: `F = ⟨ψ|ρ|ψ⟩`.
@@ -459,7 +374,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn embed_rejects_duplicate_targets() {
-        let rho = DensityMatrix::basis(2, 0);
-        let _ = rho.embed(&gates::cnot(), &[0, 0]);
+        let mut rho = DensityMatrix::basis(2, 0);
+        rho.apply_unitary(&gates::cnot(), &[0, 0]);
     }
 }
