@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the core data structures: the event
 //! queue, the density-matrix operations behind every entanglement swap,
-//! the heralded-state construction, the link scheduler, the Bell
+//! the heralded-state construction, the link scheduler, circuit planning
+//! and link admission (`routing_plan_grid3x3`, `link_admission`), the Bell
 //! tracking algebra, the quantum kernel's two pair-state
 //! representations side by side (`*_bell` vs `*_dm`), and the classical
 //! plane's wire codec and delivery paths (`message_parse`,
@@ -13,7 +14,7 @@ use qn_hardware::heralding::LinkPhysics;
 use qn_hardware::pairs::{PairStore, SwapNoise};
 use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_hardware::StateRep;
-use qn_link::{LinkLabel, TimeShareScheduler};
+use qn_link::{LinkLabel, LinkProtocol, LinkRequest, PairDemand, TimeShareScheduler};
 use qn_net::wire::{batch_append, batch_begin, BatchView, ScratchEncoder};
 use qn_net::{
     CircuitId, Complete, Correlator, Epoch, Expire, Forward, Message, MessageView, RequestId,
@@ -23,6 +24,7 @@ use qn_quantum::bell::BellState;
 use qn_quantum::gates::Pauli;
 use qn_quantum::measure::bell_measure_ideal;
 use qn_quantum::pairstate::PairState;
+use qn_routing::{grid, Controller, CutoffPolicy};
 use qn_sim::{EventQueue, NodeId, SimDuration, SimRng, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -190,6 +192,52 @@ fn bench_link_scheduler(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         );
+    });
+}
+
+/// Circuit planning and link admission on the hardware and topology of
+/// perfbench `openworld_churn` (simulation parameters, lab fibre, a 3×3
+/// grid, F = 0.8, the short cutoff). `routing_plan_grid3x3` plans every
+/// ordered node pair once per iteration and explains that workload's
+/// `qn_routing.plan.mean_us` and `layer.routing` share;
+/// `link_admission` submits and stops one link request at the link
+/// fidelity of the grid's longest path and explains the `SubmitRequest`
+/// and `BatchDeliver` self time.
+fn bench_planning(c: &mut Criterion) {
+    let topology = grid(3, 3, HardwareParams::simulation(), FibreParams::lab_2m());
+    let controller = Controller::new(&topology, CutoffPolicy::short());
+    let nodes = topology.nodes();
+    c.bench_function("routing_plan_grid3x3", |b| {
+        b.iter(|| {
+            let mut planned = 0usize;
+            for &head in &nodes {
+                for &tail in nodes.iter().filter(|&&t| t != head) {
+                    planned += usize::from(controller.plan(head, tail, 0.8).is_ok());
+                }
+            }
+            planned
+        });
+    });
+
+    let corner = *nodes.last().unwrap();
+    let min_fidelity = controller
+        .plan(nodes[0], corner, 0.8)
+        .expect("the grid's corners are plannable at F = 0.8")
+        .link_fidelity;
+    c.bench_function("link_admission", |b| {
+        let physics = topology.links()[0].physics.clone();
+        let mut link = LinkProtocol::new((NodeId(0), NodeId(1)), physics);
+        b.iter(|| {
+            let label = LinkLabel(1);
+            let events = link.submit(LinkRequest {
+                label,
+                min_fidelity,
+                demand: PairDemand::Count(6),
+                weight: 1.0,
+            });
+            link.stop(label);
+            events
+        });
     });
 }
 
@@ -462,6 +510,7 @@ criterion_group!(
     bench_density_matrix,
     bench_pair_representations,
     bench_link_scheduler,
+    bench_planning,
     bench_message_codec,
     bench_frame_delivery,
     bench_slab_store,

@@ -35,6 +35,19 @@ use qn_quantum::matrix::CMatrix;
 use qn_quantum::pairstate::{PairState, StateRep};
 use qn_quantum::{DensityMatrix, C64};
 use qn_sim::{SimDuration, SimRng};
+use std::sync::LazyLock;
+
+/// Number of points in the peak scan of [`FidelityCurve::max_fidelity`].
+const PEAK_SCAN_POINTS: usize = 400;
+
+/// The peak scan's `α` grid, log-spaced from 1e-4 to 0.5 (point `i` of
+/// `1..=400` is `1e-4·(0.5/1e-4)^(i/400)`). Built once per process.
+static PEAK_SCAN_ALPHAS: LazyLock<[f64; PEAK_SCAN_POINTS]> = LazyLock::new(|| {
+    std::array::from_fn(|k| {
+        let i = k + 1;
+        1e-4 * (0.5f64 / 1e-4).powf(i as f64 / PEAK_SCAN_POINTS as f64)
+    })
+});
 
 /// The physics of one quantum link: two identical devices joined by fibre
 /// with a heralding station at the midpoint.
@@ -59,6 +72,86 @@ impl ComponentWeights {
     /// Total click probability.
     pub fn total(&self) -> f64 {
         self.coherent + self.double + self.dark
+    }
+}
+
+/// The heralded-fidelity curve `F(α)` of one link, with its
+/// `α`-independent constants evaluated once: the detection efficiency
+/// `η`, the dark-count weight `2·p_dark`, the double-excitation
+/// probability and the coherent component's fidelity. Built on demand by
+/// [`LinkPhysics::curve`]; a caller that evaluates `F` many times (a
+/// scan, a bisection, a circuit plan) builds it once.
+#[derive(Clone, Copy, Debug)]
+pub struct FidelityCurve {
+    eta: f64,
+    dark: f64,
+    p_double: f64,
+    f_coh: f64,
+}
+
+impl FidelityCurve {
+    /// Component weights at bright-state parameter `alpha`.
+    pub fn weights(&self, alpha: f64) -> ComponentWeights {
+        let alpha = alpha.clamp(0.0, 0.5);
+        ComponentWeights {
+            coherent: 2.0 * alpha * (1.0 - alpha) * self.eta,
+            double: 2.0 * alpha * self.eta * (alpha + self.p_double),
+            dark: self.dark,
+        }
+    }
+
+    /// Analytic fidelity of the heralded state to the announced Bell state.
+    pub fn fidelity(&self, alpha: f64) -> f64 {
+        let w = self.weights(alpha);
+        let alpha = alpha.clamp(0.0, 0.5);
+        // ⟨Ψ±| ρ_dark |Ψ±⟩ = α(1−α) (the |01⟩/|10⟩ populations).
+        let f_dark = alpha * (1.0 - alpha);
+        let total = w.total();
+        if total <= 0.0 {
+            return 0.0;
+        }
+        (w.coherent * self.f_coh + w.dark * f_dark) / total
+    }
+
+    /// The highest fidelity on the curve and the `α` that attains it: the
+    /// best of 400 log-spaced points from 1e-4 to 0.5 (first on ties), or
+    /// `(0, 0.25)` if none is positive. The grid is built once per process;
+    /// each call evaluates `F` at every point, so a caller inverting the
+    /// curve several times scans once and passes the peak to
+    /// [`FidelityCurve::alpha_for_fidelity`].
+    pub fn max_fidelity(&self) -> (f64, f64) {
+        let mut best = (0.0, 0.25);
+        for &alpha in PEAK_SCAN_ALPHAS.iter() {
+            let f = self.fidelity(alpha);
+            if f > best.0 {
+                best = (f, alpha);
+            }
+        }
+        best
+    }
+
+    /// The largest `α` (fastest rate) achieving at least `target`
+    /// fidelity, or `None` when the link cannot reach it; `peak` is this
+    /// curve's [`FidelityCurve::max_fidelity`]. Monotone bisection on the
+    /// decreasing branch of `F(α)`.
+    pub fn alpha_for_fidelity(&self, target: f64, peak: (f64, f64)) -> Option<f64> {
+        let (f_max, alpha_max) = peak;
+        if target > f_max {
+            return None;
+        }
+        if self.fidelity(0.5) >= target {
+            return Some(0.5);
+        }
+        let (mut lo, mut hi) = (alpha_max, 0.5);
+        for _ in 0..60 {
+            let mid = 0.5 * (lo + hi);
+            if self.fidelity(mid) >= target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(lo)
     }
 }
 
@@ -97,15 +190,20 @@ impl LinkPhysics {
         self.params.visibility * self.params.delta_phi.cos()
     }
 
+    /// The fidelity curve `F(α)` with its `α`-independent constants
+    /// evaluated (one `powf` and one `cos`).
+    pub fn curve(&self) -> FidelityCurve {
+        FidelityCurve {
+            eta: self.eta(),
+            dark: 2.0 * self.p_dark(),
+            p_double: self.params.p_double_excitation,
+            f_coh: 0.5 * (1.0 + self.coherence()),
+        }
+    }
+
     /// Component weights at bright-state parameter `alpha`.
     pub fn weights(&self, alpha: f64) -> ComponentWeights {
-        let alpha = alpha.clamp(0.0, 0.5);
-        let eta = self.eta();
-        ComponentWeights {
-            coherent: 2.0 * alpha * (1.0 - alpha) * eta,
-            double: 2.0 * alpha * eta * (alpha + self.params.p_double_excitation),
-            dark: 2.0 * self.p_dark(),
-        }
+        self.curve().weights(alpha)
     }
 
     /// Probability that one attempt heralds success.
@@ -115,16 +213,7 @@ impl LinkPhysics {
 
     /// Analytic fidelity of the heralded state to the announced Bell state.
     pub fn fidelity(&self, alpha: f64) -> f64 {
-        let w = self.weights(alpha);
-        let alpha = alpha.clamp(0.0, 0.5);
-        let f_coh = 0.5 * (1.0 + self.coherence());
-        // ⟨Ψ±| ρ_dark |Ψ±⟩ = α(1−α) (the |01⟩/|10⟩ populations).
-        let f_dark = alpha * (1.0 - alpha);
-        let total = w.total();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        (w.coherent * f_coh + w.dark * f_dark) / total
+        self.curve().fidelity(alpha)
     }
 
     /// Density matrix of the heralded state, given which `|Ψ±⟩` was
@@ -198,41 +287,20 @@ impl LinkPhysics {
     }
 
     /// The highest fidelity this link can produce (over all `α`), and the
-    /// `α` that attains it.
+    /// `α` that attains it: one scan of [`FidelityCurve::max_fidelity`] on
+    /// a curve built for this call.
     pub fn max_fidelity(&self) -> (f64, f64) {
-        let mut best = (0.0, 0.25);
-        for i in 1..=400 {
-            // Log-spaced from 1e-4 to 0.5.
-            let alpha = 1e-4 * (0.5f64 / 1e-4).powf(i as f64 / 400.0);
-            let f = self.fidelity(alpha);
-            if f > best.0 {
-                best = (f, alpha);
-            }
-        }
-        best
+        self.curve().max_fidelity()
     }
 
     /// The largest `α` (fastest rate) achieving at least `target` fidelity,
-    /// or `None` when the link cannot reach it. Monotone bisection on the
-    /// decreasing branch of `F(α)`.
+    /// or `None` when the link cannot reach it. Builds the curve and scans
+    /// its peak once per call; to invert the same link repeatedly, build
+    /// [`LinkPhysics::curve`] and its peak once and call
+    /// [`FidelityCurve::alpha_for_fidelity`].
     pub fn alpha_for_fidelity(&self, target: f64) -> Option<f64> {
-        let (f_max, alpha_max) = self.max_fidelity();
-        if target > f_max {
-            return None;
-        }
-        if self.fidelity(0.5) >= target {
-            return Some(0.5);
-        }
-        let (mut lo, mut hi) = (alpha_max, 0.5);
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if self.fidelity(mid) >= target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(lo)
+        let curve = self.curve();
+        curve.alpha_for_fidelity(target, curve.max_fidelity())
     }
 }
 

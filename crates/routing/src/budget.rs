@@ -103,6 +103,44 @@ pub fn swap_noise_params(params: &HardwareParams) -> (f64, f64) {
     (p_gate, q)
 }
 
+/// The worst-case chain of [`worst_case_chain_fidelity`] with its
+/// `f_link`-independent terms evaluated once: the two-sided idle flip
+/// probability `λ` over the full cutoff, the swap gate's depolarizing
+/// parameter, and the probability that every announced bit is read
+/// correctly.
+struct WorstCaseChain {
+    n_links: usize,
+    lambda: f64,
+    p_gate: f64,
+    p_good_bits: f64,
+}
+
+impl WorstCaseChain {
+    fn new(params: &HardwareParams, n_links: usize, cutoff: SimDuration) -> Self {
+        let t2 = params.electron_t2;
+        let p_idle = channels::dephasing_prob(cutoff.as_secs_f64(), t2);
+        let lambda = formulas::combine_flip_probs(p_idle, p_idle);
+        let (p_gate, q) = swap_noise_params(params);
+        // Mistracking: each swap announces 2 bits; each bit flips w.p. q.
+        // A flip moves the pair to an orthogonal Bell state (fidelity ≈
+        // (1−F)/3 ≈ 0): charge the full fidelity mass of the flip branches.
+        let n_swaps = n_links.saturating_sub(1) as f64;
+        let p_good_bits = ((1.0 - q) * (1.0 - q)).powf(n_swaps);
+        WorstCaseChain {
+            n_links,
+            lambda,
+            p_gate,
+            p_good_bits,
+        }
+    }
+
+    fn fidelity(&self, f_link: f64) -> f64 {
+        let f = formulas::chain_fidelity(self.n_links, f_link, self.p_gate, self.lambda);
+        let w = formulas::werner_param(f) * self.p_good_bits;
+        formulas::werner_fidelity(w)
+    }
+}
+
 /// Worst-case end-to-end fidelity of `n_links` identical links of
 /// fidelity `f_link` when every pair idles a full `cutoff` before its
 /// swap.
@@ -112,36 +150,27 @@ pub fn worst_case_chain_fidelity(
     f_link: f64,
     cutoff: SimDuration,
 ) -> f64 {
-    let t2 = params.electron_t2;
-    let p_idle = channels::dephasing_prob(cutoff.as_secs_f64(), t2);
-    let lambda = formulas::combine_flip_probs(p_idle, p_idle);
-    let (p_gate, q) = swap_noise_params(params);
-    let f = formulas::chain_fidelity(n_links, f_link, p_gate, lambda);
-    // Mistracking: each swap announces 2 bits; each bit flips w.p. q.
-    // A flip moves the pair to an orthogonal Bell state (fidelity ≈
-    // (1−F)/3 ≈ 0): charge the full fidelity mass of the flip branches.
-    let n_swaps = n_links.saturating_sub(1) as f64;
-    let p_good_bits = ((1.0 - q) * (1.0 - q)).powf(n_swaps);
-    let w = formulas::werner_param(f) * p_good_bits;
-    formulas::werner_fidelity(w)
+    WorstCaseChain::new(params, n_links, cutoff).fidelity(f_link)
 }
 
 /// Invert [`worst_case_chain_fidelity`] for the per-link fidelity needed
 /// to hit `f_target` end-to-end; `None` if unattainable even with
-/// perfect links.
+/// perfect links. The chain's cutoff-dependent terms are evaluated once
+/// per call, not once per bisection step.
 pub fn required_link_fidelity(
     params: &HardwareParams,
     n_links: usize,
     f_target: f64,
     cutoff: SimDuration,
 ) -> Option<f64> {
-    if worst_case_chain_fidelity(params, n_links, 1.0, cutoff) < f_target {
+    let chain = WorstCaseChain::new(params, n_links, cutoff);
+    if chain.fidelity(1.0) < f_target {
         return None;
     }
     let (mut lo, mut hi) = (0.25f64, 1.0f64);
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        if worst_case_chain_fidelity(params, n_links, mid, cutoff) >= f_target {
+        if chain.fidelity(mid) >= f_target {
             hi = mid;
         } else {
             lo = mid;

@@ -78,8 +78,16 @@ impl<'a> Controller<'a> {
     ///
     /// Cutoff and link fidelity are mutually dependent (the budget needs
     /// the cutoff; the generation-quantile cutoff needs α which needs the
-    /// link fidelity), so the controller iterates the pair to a fixed
-    /// point — in practice two rounds suffice.
+    /// link fidelity), so the controller iterates the pair towards a
+    /// fixed point, for at most four rounds. A round is a pure function
+    /// of the previous round's cutoff, so once a round reproduces its
+    /// input cutoff exactly every later round would repeat it value for
+    /// value; the loop stops there, with the same plan (or error) the
+    /// full four rounds give. A manual cutoff stops after one round; the
+    /// continuous fidelity-loss cutoff usually uses all four.
+    ///
+    /// The link's fidelity curve is built and its peak scanned once per
+    /// plan; every inversion of the curve reuses both.
     pub fn plan(&self, head: NodeId, tail: NodeId, f_e2e: f64) -> Result<CircuitPlan, PlanError> {
         let path = self
             .topology
@@ -98,21 +106,27 @@ impl<'a> Controller<'a> {
         let physics = &self.topology.link(link_id).physics;
         let params = physics.params();
 
+        let curve = physics.curve();
+        let peak = curve.max_fidelity();
+
         // Fixed-point iteration over (cutoff, link fidelity).
         let mut f_link = f_e2e; // starting guess
-        let mut alpha = physics
-            .alpha_for_fidelity(f_link)
+        let mut alpha = curve
+            .alpha_for_fidelity(f_link, peak)
             .ok_or(PlanError::FidelityUnattainable)?;
         let mut cutoff = self.cutoff_policy.evaluate(physics, f_link, alpha);
         for _ in 0..4 {
             let required = budget::required_link_fidelity(params, n_links, f_e2e, cutoff)
                 .ok_or(PlanError::FidelityUnattainable)?;
-            let a = physics
-                .alpha_for_fidelity(required)
-                .ok_or(PlanError::FidelityUnattainable)?;
             f_link = required;
-            alpha = a;
-            cutoff = self.cutoff_policy.evaluate(physics, f_link, alpha);
+            alpha = curve
+                .alpha_for_fidelity(required, peak)
+                .ok_or(PlanError::FidelityUnattainable)?;
+            let next = self.cutoff_policy.evaluate(physics, f_link, alpha);
+            if next == cutoff {
+                break;
+            }
+            cutoff = next;
         }
 
         // Rate allocations. The link can produce pairs at most at
