@@ -5,7 +5,7 @@
 //! tracking algebra, the quantum kernel's two pair-state
 //! representations side by side (`*_bell` vs `*_dm`), and the classical
 //! plane's wire codec and delivery paths (`message_parse`,
-//! `zero_copy_vs_owned_decode/*`, `encode_scratch_vs_alloc/scratch`,
+//! `zero_copy_vs_owned_decode/view`, `encode_scratch_vs_alloc/scratch`,
 //! `batch_vs_single_delivery/batched`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -287,9 +287,9 @@ fn message_mix() -> Vec<Message> {
     msgs
 }
 
-/// The wire codec under the delivery-path access pattern: full owned
-/// decode vs the borrowing view (parse + the fields the runtime's batch
-/// drain actually touches before deciding to materialise).
+/// The data-plane decoder (`MessageView`, the only one) under two access
+/// patterns: parse plus per-variant field reads, and parse plus the
+/// demux key alone.
 fn bench_message_codec(c: &mut Criterion) {
     let msgs = message_mix();
     let frames: Vec<Vec<u8>> = msgs.iter().map(Message::wire_bytes).collect();
@@ -305,17 +305,6 @@ fn bench_message_codec(c: &mut Criterion) {
                 if let MessageView::Track(t) = v {
                     acc = acc.wrapping_add(t.link().seq);
                 }
-            }
-            acc
-        });
-    });
-
-    c.bench_function("zero_copy_vs_owned_decode/owned", |b| {
-        b.iter(|| {
-            let mut acc = 0u64;
-            for f in &frames {
-                let m = Message::decode(f).unwrap();
-                acc = acc.wrapping_add(m.circuit().0);
             }
             acc
         });
@@ -339,7 +328,7 @@ fn bench_message_codec(c: &mut Criterion) {
         b.iter(|| {
             let mut bytes = 0usize;
             for m in &msgs {
-                bytes += scratch.message(m).len();
+                bytes += scratch.frame(|buf| m.encode_to(buf)).len();
             }
             bytes
         });

@@ -358,26 +358,6 @@ impl QnpNode {
         self.circuits.get(&circuit.0).map(|c| c.entry.role())
     }
 
-    /// Zero-copy ingress: validate an encoded data-plane frame as a
-    /// borrowed view (`crate::wire::MessageView`) and run the rules on
-    /// it, materialising the owned message only here — the single place
-    /// the receive path copies out of the frame buffer. Returns the
-    /// frame's circuit alongside the effects so the runtime can demux
-    /// without re-decoding.
-    pub fn handle_frame(
-        &mut self,
-        from_upstream: bool,
-        frame: &[u8],
-    ) -> Result<(CircuitId, Vec<NetOutput>), crate::wire::DecodeError> {
-        let view = crate::wire::MessageView::parse(frame)?;
-        let circuit = view.circuit();
-        let msg = view.to_message();
-        Ok((
-            circuit,
-            self.handle(NetInput::Message { from_upstream, msg }),
-        ))
-    }
-
     /// Handle one input, producing the effects for the runtime.
     pub fn handle(&mut self, input: NetInput) -> Vec<NetOutput> {
         let mut out = Vec::new();

@@ -1,42 +1,37 @@
 //! Fuzz the BATCH transport frame: exact round-trips of arbitrary inner
 //! frames, total decoding on arbitrary/corrupted/truncated envelopes,
-//! and equivalence of the borrowing (`BatchView`) and owned
-//! (`decode_batch`) walks — including batches whose inner length
-//! prefixes were corrupted in flight.
+//! and agreement of the parse path (`BatchView`, the one batch decoder)
+//! with the build path (`batch_begin`/`batch_append`, the spec) —
+//! including batches whose inner length prefixes were corrupted in
+//! flight.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use qn_net::wire::{batch_append, batch_begin, decode_batch, BatchView, DecodeError, MessageView};
+use qn_net::wire::{batch_append, batch_begin, BatchView, DecodeError, MessageView};
 use qn_net::Message;
 
-fn build_batch(frames: &[Vec<u8>]) -> Vec<u8> {
+fn build_batch<F: AsRef<[u8]>>(frames: &[F]) -> Vec<u8> {
     let mut buf = Vec::new();
     batch_begin(&mut buf);
     for f in frames {
-        batch_append(&mut buf, f);
+        batch_append(&mut buf, f.as_ref());
     }
     buf
 }
 
-/// Compare the two walks on one input: identical frames or identical
-/// typed errors.
+/// The parse and build paths agree on one input: whatever `BatchView`
+/// accepts has `count` frames and rebuilds to exactly the same bytes;
+/// anything else is a typed, displayable error.
 fn assert_paths_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
-    match (BatchView::parse(bytes), decode_batch(bytes)) {
-        (Ok(view), Ok(owned)) => {
-            prop_assert_eq!(view.count() as usize, owned.len());
-            let borrowed: Vec<&[u8]> = view.frames().collect();
-            prop_assert_eq!(
-                borrowed,
-                owned.iter().map(Vec::as_slice).collect::<Vec<_>>()
-            );
+    match BatchView::parse(bytes) {
+        Ok(view) => {
+            let frames: Vec<&[u8]> = view.frames().collect();
+            prop_assert_eq!(frames.len(), view.count() as usize);
+            prop_assert_eq!(build_batch(&frames), bytes.to_vec());
         }
-        (Err(a), Err(b)) => prop_assert_eq!(a, b),
-        (a, b) => prop_assert!(
-            false,
-            "batch walks diverge: {:?} vs {:?}",
-            a.map(|v| v.count()),
-            b.map(|f| f.len())
-        ),
+        Err(e) => {
+            let _ = format!("{e}");
+        }
     }
     Ok(())
 }
@@ -55,22 +50,18 @@ proptest! {
         prop_assert_eq!(view.count() as usize, frames.len());
         let got: Vec<&[u8]> = view.frames().collect();
         prop_assert_eq!(got, frames.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        prop_assert_eq!(decode_batch(&buf).unwrap(), frames);
     }
 
-    /// Envelope decoding is total on arbitrary bytes, and the borrowed
-    /// and owned walks agree everywhere.
+    /// Envelope decoding is total on arbitrary bytes, and the parse
+    /// and build paths agree everywhere.
     #[test]
     fn batch_decode_total_and_paths_agree(bytes in vec(any::<u8>(), 0..160)) {
         assert_paths_agree(&bytes)?;
-        if let Err(e) = BatchView::parse(&bytes) {
-            let _ = format!("{e}");
-        }
     }
 
     /// A single flipped bit anywhere in a valid batch — header, count,
-    /// an inner *length prefix*, or an inner frame — never panics
-    /// either walk, and both reach the same verdict.
+    /// an inner *length prefix*, or an inner frame — never panics the
+    /// parse, and whatever it accepts rebuilds to the same bytes.
     #[test]
     fn corrupted_batches_keep_paths_equivalent(
         frames in vec(vec(any::<u8>(), 0..24), 1..8),
@@ -82,8 +73,8 @@ proptest! {
         assert_paths_agree(&buf)?;
     }
 
-    /// Every strict prefix of a valid batch fails identically on both
-    /// walks (with `Truncated` once the header survives).
+    /// Every strict prefix of a valid batch fails identically: with
+    /// `Truncated`, at an offset inside the prefix.
     #[test]
     fn truncated_batches_error_identically(
         frames in vec(vec(any::<u8>(), 0..24), 1..8),
@@ -91,17 +82,16 @@ proptest! {
     ) {
         let buf = build_batch(&frames);
         let len = (cut as usize) % buf.len();
-        let a = BatchView::parse(&buf[..len]).map(|v| v.count()).unwrap_err();
-        let b = decode_batch(&buf[..len]).unwrap_err();
-        prop_assert_eq!(a, b);
-        if len >= 2 {
-            prop_assert!(matches!(a, DecodeError::Truncated { .. }), "prefix {} gave {:?}", len, a);
-        }
+        let err = BatchView::parse(&buf[..len]).map(|v| v.count()).unwrap_err();
+        prop_assert!(
+            matches!(err, DecodeError::Truncated { at } if at <= len),
+            "prefix {} gave {:?}", len, err
+        );
     }
 
     /// End to end through the data plane: a batch of encoded messages
-    /// drains through `MessageView` to the same messages the owned
-    /// per-frame decode yields.
+    /// drains through `MessageView` to exactly the owned messages that
+    /// were encoded, in order.
     #[test]
     fn batched_messages_view_decode_like_owned(circuits in vec(any::<u64>(), 1..8)) {
         let msgs: Vec<Message> = circuits

@@ -290,7 +290,8 @@ struct OpenBatch {
 
 /// The classical plane: the reliable in-order transport plus optional
 /// seeded fault injection, operating on encoded frames and coalescing
-/// them into per-(hop, lane, tick) batches.
+/// them into per-(hop, lane, tick) batches. The plane stores no fault
+/// config: each [`ClassicalPlane::transmit`] names its hop's.
 ///
 /// Fault sampling uses its **own** RNG substream, so enabling faults
 /// never perturbs the latency/jitter draws — and the faults-off path
@@ -298,7 +299,6 @@ struct OpenBatch {
 /// plain reliable transport.
 pub struct ClassicalPlane {
     transport: ReliableDelivery,
-    faults: ClassicalFaults,
     rng_faults: SimRng,
     /// Traffic counters.
     pub stats: ClassicalStats,
@@ -313,12 +313,11 @@ pub struct ClassicalPlane {
 }
 
 impl ClassicalPlane {
-    /// A plane with the given fault config, drawing fault decisions from
-    /// the dedicated `"classical-faults"` substream of `seed`.
-    pub fn new(seed: u64, faults: ClassicalFaults) -> Self {
+    /// A plane drawing fault decisions from the dedicated
+    /// `"classical-faults"` substream of `seed`.
+    pub fn new(seed: u64) -> Self {
         ClassicalPlane {
             transport: ReliableDelivery::new(),
-            faults,
             rng_faults: SimRng::substream(seed, "classical-faults"),
             stats: ClassicalStats::default(),
             open_by_key: HashMap::new(),
@@ -329,14 +328,12 @@ impl ClassicalPlane {
         }
     }
 
-    /// The active fault config.
-    pub fn faults(&self) -> &ClassicalFaults {
-        &self.faults
-    }
-
-    /// Transmit one encoded frame `from → to` at `now` over `channel`,
-    /// sampling latency from `rng_latency` (the caller's message RNG, so
-    /// the draw sequence matches the pre-fault-plane runtime exactly).
+    /// Transmit one encoded frame `from → to` at `now` over `channel`
+    /// under the fault model `faults` of the frame's hop, sampling
+    /// latency from `rng_latency` (the caller's message RNG, so the draw
+    /// sequence matches the pre-fault-plane runtime exactly). Fault
+    /// draws come from the plane's single `classical-faults` substream
+    /// whatever the hop.
     ///
     /// `lane` discriminates independent sub-streams of the same directed
     /// hop (the runtime uses the upstream/downstream orientation), so a
@@ -347,26 +344,8 @@ impl ClassicalPlane {
     /// the batches *opened by this call* (primary and, under faults, a
     /// duplicate landing on a different tick) — zero entries means the
     /// frame was dropped or coalesced into already-scheduled batches.
-    pub fn transmit(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        lane: bool,
-        now: SimTime,
-        channel: &ChannelModel,
-        rng_latency: &mut SimRng,
-        frame: &[u8],
-    ) -> [Option<BatchOpen>; 2] {
-        let faults = self.faults;
-        self.transmit_with(faults, from, to, lane, now, channel, rng_latency, frame)
-    }
-
-    /// [`ClassicalPlane::transmit`] with an explicit fault model for
-    /// this frame's hop (per-link fault overrides). Draws come from the
-    /// same single `classical-faults` substream in the same order, so
-    /// passing the plane's own config is exactly `transmit`.
     #[allow(clippy::too_many_arguments)]
-    pub fn transmit_with(
+    pub fn transmit(
         &mut self,
         faults: ClassicalFaults,
         from: NodeId,
@@ -488,6 +467,8 @@ impl ClassicalPlane {
 mod tests {
     use super::*;
 
+    const OFF: ClassicalFaults = ClassicalFaults::OFF;
+
     fn model(jitter_us: u64) -> ChannelModel {
         ChannelModel {
             propagation: SimDuration::from_nanos(10),
@@ -545,6 +526,12 @@ mod tests {
         assert!(other < slow);
     }
 
+    /// The inner frames of a plane-built batch, copied out.
+    fn frames_of(batch: &[u8]) -> Vec<Vec<u8>> {
+        let view = qn_net::wire::BatchView::parse(batch).expect("plane-built batch");
+        view.frames().map(<[u8]>::to_vec).collect()
+    }
+
     /// Drain every batch opened by one transmit call, returning each as
     /// `(delivery time, inner frames)`.
     fn drain(
@@ -554,10 +541,7 @@ mod tests {
         let mut out = Vec::new();
         for b in opened.into_iter().flatten() {
             let buf = plane.take_batch(b.id).expect("opened batch");
-            out.push((
-                b.at,
-                qn_net::wire::decode_batch(&buf).expect("plane-built batch"),
-            ));
+            out.push((b.at, frames_of(&buf)));
             plane.recycle(buf);
         }
         out
@@ -572,12 +556,12 @@ mod tests {
         let (a, b) = (NodeId(0), NodeId(1));
         let mut bare = ReliableDelivery::new();
         let mut bare_rng = SimRng::from_seed(9);
-        let mut plane = ClassicalPlane::new(123, ClassicalFaults::OFF);
+        let mut plane = ClassicalPlane::new(123);
         let mut plane_rng = SimRng::from_seed(9);
         for i in 0..200u64 {
             let now = SimTime::from_ps(i * 1000);
             let expect = bare.schedule(a, b, now, m.sample_latency(&mut bare_rng));
-            let opened = plane.transmit(a, b, false, now, &m, &mut plane_rng, &[i as u8]);
+            let opened = plane.transmit(OFF, a, b, false, now, &m, &mut plane_rng, &[i as u8]);
             let got = drain(&mut plane, opened);
             assert_eq!(got.len(), 1);
             assert_eq!(got[0].0, expect);
@@ -594,24 +578,24 @@ mod tests {
     fn same_tick_frames_coalesce_into_one_batch() {
         let m = model(0); // deterministic latency: same tick per send time
         let (a, b) = (NodeId(0), NodeId(1));
-        let mut plane = ClassicalPlane::new(1, ClassicalFaults::OFF);
+        let mut plane = ClassicalPlane::new(1);
         let mut rng = SimRng::from_seed(1);
         let now = SimTime::ZERO;
-        let open =
-            plane.transmit(a, b, false, now, &m, &mut rng, b"one")[0].expect("first send opens");
+        let open = plane.transmit(OFF, a, b, false, now, &m, &mut rng, b"one")[0]
+            .expect("first send opens");
         for f in [b"two".as_slice(), b"three"] {
             assert_eq!(
-                plane.transmit(a, b, false, now, &m, &mut rng, f),
+                plane.transmit(OFF, a, b, false, now, &m, &mut rng, f),
                 [None, None],
                 "same (hop, lane, tick) must coalesce"
             );
         }
         // A different lane or hop opens its own batch.
-        assert!(plane.transmit(a, b, true, now, &m, &mut rng, b"x")[0].is_some());
-        assert!(plane.transmit(b, a, false, now, &m, &mut rng, b"y")[0].is_some());
+        assert!(plane.transmit(OFF, a, b, true, now, &m, &mut rng, b"x")[0].is_some());
+        assert!(plane.transmit(OFF, b, a, false, now, &m, &mut rng, b"y")[0].is_some());
         let buf = plane.take_batch(open.id).unwrap();
         assert_eq!(
-            qn_net::wire::decode_batch(&buf).unwrap(),
+            frames_of(&buf),
             vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()],
             "append order is delivery order"
         );
@@ -620,7 +604,7 @@ mod tests {
         assert_eq!(plane.stats.bytes_coalesced, 8); // "two" + "three"
                                                     // A drained id is single-use; the tick re-opens afterwards.
         assert!(plane.take_batch(open.id).is_none());
-        assert!(plane.transmit(a, b, false, now, &m, &mut rng, b"z")[0].is_some());
+        assert!(plane.transmit(OFF, a, b, false, now, &m, &mut rng, b"z")[0].is_some());
     }
 
     #[test]
@@ -630,9 +614,10 @@ mod tests {
             ..ClassicalFaults::OFF
         };
         let m = model(0);
-        let mut plane = ClassicalPlane::new(3, faults);
+        let mut plane = ClassicalPlane::new(3);
         let mut rng = SimRng::from_seed(3);
         let opened = plane.transmit(
+            faults,
             NodeId(0),
             NodeId(1),
             false,
@@ -662,12 +647,13 @@ mod tests {
         };
         let run = |seed: u64| {
             let m = model(0);
-            let mut plane = ClassicalPlane::new(seed, faults);
+            let mut plane = ClassicalPlane::new(seed);
             let mut rng = SimRng::from_seed(5);
             let mut log = Vec::new();
             for i in 0..300u64 {
                 let now = SimTime::from_ps(i * 777);
                 let opened = plane.transmit(
+                    faults,
                     NodeId(0),
                     NodeId(1),
                     false,
@@ -696,11 +682,12 @@ mod tests {
             ..ClassicalFaults::OFF
         };
         let m = model(0);
-        let mut plane = ClassicalPlane::new(7, faults);
+        let mut plane = ClassicalPlane::new(7);
         let mut rng = SimRng::from_seed(7);
         let original = vec![0u8; 16];
         for _ in 0..50 {
             let opened = plane.transmit(
+                faults,
                 NodeId(0),
                 NodeId(1),
                 false,

@@ -169,10 +169,10 @@ impl Default for RuntimeConfig {
 /// The event alphabet of the network model.
 pub enum Ev {
     /// A coalesced batch of encoded classical frames arrives at a node.
-    /// The receiver drains the batch in order, borrow-decoding each
-    /// inner frame (`qn_net::wire::MessageView`); frames that fail to
-    /// decode are counted and dropped — the bytes, not the structs, are
-    /// the interface.
+    /// The receiver drains the batch in order, decoding each inner frame
+    /// once with its plane's one decoder (`qn_net::wire::MessageView`
+    /// for the data plane); frames that fail to decode are counted and
+    /// dropped — the bytes, not the structs, are the interface.
     BatchDeliver {
         /// Receiving node.
         to: NodeId,
@@ -262,9 +262,6 @@ pub enum Ev {
         pair: PairId,
         /// Destination storage qubit.
         storage: QubitId,
-        /// The link whose pair is being stored (for the deferred
-        /// network-layer notification).
-        link: LinkId,
         /// Deferred LinkPair info to deliver to the local QNP.
         circuit: CircuitId,
         /// Side of the circuit at this node.
@@ -637,10 +634,9 @@ pub struct NetworkModel {
     pub state_mismatches: u64,
     /// Diagnostics: pairs released before use.
     pub discarded_pairs: u64,
-    /// Per-link effective message-fault models (`Some` only when the
-    /// config carries per-link overrides; `None` keeps the global
-    /// [`RuntimeConfig::faults`] on the untouched fast path).
-    link_fault_table: Option<Vec<ClassicalFaults>>,
+    /// Message-fault model of each hop, indexed by `LinkId`: the global
+    /// [`RuntimeConfig::faults`] with the per-link overrides applied.
+    link_faults: Vec<ClassicalFaults>,
     /// Whether *any* hop can lose frames — global loss/corruption
     /// faults, a per-link override with either, or a component fault
     /// plan (a downed hop eats frames). Gates the blind request-level
@@ -695,19 +691,14 @@ impl NetworkModel {
                 up: true,
             })
             .collect();
-        let link_fault_table = if cfg.link_faults.is_empty() {
-            None
-        } else {
-            let mut table = vec![cfg.faults; links.len()];
-            for (a, b, faults) in &cfg.link_faults {
-                faults.validate().expect("per-link fault probabilities");
-                let link = topology
-                    .link_between(*a, *b)
-                    .expect("per-link fault override names an existing link");
-                table[link.0 as usize] = *faults;
-            }
-            Some(table)
-        };
+        let mut link_faults = vec![cfg.faults; links.len()];
+        for (a, b, faults) in &cfg.link_faults {
+            faults.validate().expect("per-link fault probabilities");
+            let link = topology
+                .link_between(*a, *b)
+                .expect("per-link fault override names an existing link");
+            link_faults[link.0 as usize] = *faults;
+        }
         let lossy = |f: &ClassicalFaults| f.drop > 0.0 || f.corrupt > 0.0;
         let lossy_wire = lossy(&cfg.faults)
             || cfg.link_faults.iter().any(|(_, _, f)| lossy(f))
@@ -738,12 +729,12 @@ impl NetworkModel {
             rng_links,
             rng_nodes,
             rng_msgs: SimRng::substream(seed, "messages"),
-            plane: ClassicalPlane::new(seed, cfg.faults),
+            plane: ClassicalPlane::new(seed),
             scratch: qn_net::wire::ScratchEncoder::new(),
             cfg,
             state_mismatches: 0,
             discarded_pairs: 0,
-            link_fault_table,
+            link_faults,
             lossy_wire,
         }
     }
@@ -863,6 +854,8 @@ impl NetworkModel {
         self.link_between(node, peer)
     }
 
+    /// Send a data-plane message to `from`'s neighbour on `circuit`,
+    /// logging it when it enters the wire.
     fn send_message(
         &mut self,
         ctx: &mut Context<'_, Ev>,
@@ -878,68 +871,32 @@ impl NetworkModel {
         } else {
             up.expect("upstream neighbour")
         };
-        let link = self.link_between(from, to);
-        if !self.hop_alive(link, from, to) {
-            // The hop (or one of its endpoints) is down: the frame dies
-            // on the dead wire. A plan-free run never takes this branch.
-            self.plane.stats.sent += 1;
-            self.plane.stats.dropped += 1;
-            return;
-        }
-        let channel = ChannelModel {
-            propagation: self.links[link.0 as usize]
-                .physics
-                .fibre()
-                .propagation_delay(),
-            processing: self.cfg.processing_delay,
-            extra: self.cfg.extra_message_delay,
-            jitter: self.cfg.message_jitter,
-        };
-        emit(
-            &mut self.log,
-            ctx.now(),
-            NetEvent::MsgSent {
-                from,
-                to,
-                kind: msg.kind_name(),
-                downstream,
-            },
-        );
-        // The message crosses the hop as encoded bytes: the classical
-        // plane transports (and may drop/duplicate/reorder/corrupt)
-        // frames, never Rust values. Default config is a bit-identical
-        // pass-through of the reliable in-order transport. Encoding goes
-        // through the shared scratch buffer and the plane coalesces
-        // same-tick frames, so only newly opened batches cost an event.
-        let faults = self.hop_faults(link);
-        let frame = self.scratch.message(&msg);
-        let opened = self.plane.transmit_with(
-            faults,
-            from,
-            to,
-            downstream,
-            ctx.now(),
-            &channel,
-            &mut self.rng_msgs,
-            frame,
-        );
-        for b in opened.into_iter().flatten() {
-            ctx.schedule_at(
-                b.at,
-                Ev::BatchDeliver {
+        if self.transmit_frame(ctx, from, to, downstream, |b| msg.encode_to(b)) {
+            emit(
+                &mut self.log,
+                ctx.now(),
+                NetEvent::MsgSent {
+                    from,
                     to,
-                    from_upstream: downstream,
-                    batch: b.id,
-                    link,
+                    kind: msg.kind_name(),
+                    downstream,
                 },
             );
         }
     }
 
-    /// Transmit one link-layer or signalling frame between two adjacent
-    /// nodes over the classical plane (`signalling_on_wire` paths). The
-    /// lane (`downstream`) only selects the batch the frame coalesces
-    /// into; receivers demux these frames by kind byte, not direction.
+    /// Transmit one encoded frame between two adjacent nodes over the
+    /// classical plane: the one send path from the runtime to the wire,
+    /// for data-plane, link-layer and signalling frames alike. The frame
+    /// crosses the hop as bytes that the plane may drop, duplicate,
+    /// reorder or corrupt under the hop's fault model; the default
+    /// config is a bit-identical pass-through of the reliable in-order
+    /// transport. Encoding goes through the shared scratch buffer and the
+    /// plane coalesces same-tick frames, so only newly opened batches
+    /// cost an event. The lane (`downstream`) selects the batch the frame
+    /// joins; data-plane receivers read it as the sender's orientation,
+    /// the other planes demux by kind byte. Returns whether the frame
+    /// entered the wire (`false` on a dead hop).
     fn transmit_frame(
         &mut self,
         ctx: &mut Context<'_, Ev>,
@@ -947,14 +904,16 @@ impl NetworkModel {
         to: NodeId,
         downstream: bool,
         encode: impl FnOnce(&mut Vec<u8>),
-    ) {
+    ) -> bool {
         let Some(link) = self.topology.link_between(from, to) else {
-            return;
+            return false;
         };
         if !self.hop_alive(link, from, to) {
+            // The hop (or one of its endpoints) is down: the frame dies
+            // on the dead wire. A plan-free run never takes this branch.
             self.plane.stats.sent += 1;
             self.plane.stats.dropped += 1;
-            return;
+            return false;
         }
         let channel = ChannelModel {
             propagation: self.links[link.0 as usize]
@@ -965,9 +924,9 @@ impl NetworkModel {
             extra: self.cfg.extra_message_delay,
             jitter: self.cfg.message_jitter,
         };
-        let faults = self.hop_faults(link);
+        let faults = self.link_faults[link.0 as usize];
         let frame = self.scratch.frame(encode);
-        let opened = self.plane.transmit_with(
+        let opened = self.plane.transmit(
             faults,
             from,
             to,
@@ -988,6 +947,7 @@ impl NetworkModel {
                 },
             );
         }
+        true
     }
 
     /// Whether a hop can carry traffic right now: the link is up and so
@@ -996,15 +956,6 @@ impl NetworkModel {
         self.links[link.0 as usize].up
             && self.nodes[from.0 as usize].up
             && self.nodes[to.0 as usize].up
-    }
-
-    /// The message-fault model for a hop: its per-link override if one
-    /// was configured, the global config otherwise.
-    fn hop_faults(&self, link: LinkId) -> ClassicalFaults {
-        match &self.link_fault_table {
-            Some(table) => table[link.0 as usize],
-            None => self.cfg.faults,
-        }
     }
 
     /// Whether `node` is an intermediate (repeater) on the circuit.
@@ -1195,7 +1146,6 @@ impl NetworkModel {
         &mut self,
         ctx: &mut Context<'_, Ev>,
         node: NodeId,
-        link: LinkId,
         pid: PairId,
         circuit: CircuitId,
         side: LinkSide,
@@ -1215,7 +1165,6 @@ impl NetworkModel {
                         node,
                         pair: pid,
                         storage,
-                        link,
                         circuit,
                         side,
                         info,
@@ -1279,7 +1228,7 @@ impl NetworkModel {
             announced: pair.announced,
         };
         self.link_delivered.insert(node, correlator, ());
-        self.deliver_link_pair(ctx, node, link, pid, circuit, side, pair_info);
+        self.deliver_link_pair(ctx, node, pid, circuit, side, pair_info);
     }
 
     /// Demuxed handler for link-layer frames (kinds `0x10..=0x12`)
@@ -1452,8 +1401,8 @@ impl NetworkModel {
     /// Demuxed handler for routing-signalling frames (kinds
     /// `0x20..=0x23`) arriving over the wire.
     fn handle_signal_frame(&mut self, ctx: &mut Context<'_, Ev>, to: NodeId, frame: &[u8]) {
-        let msg = match qn_routing::wire::SignalMessageView::parse(frame) {
-            Ok(view) => view.to_message(),
+        let msg = match qn_routing::wire::SignalMessage::decode(frame) {
+            Ok(msg) => msg,
             Err(err) => {
                 self.plane.stats.signal_decode_failures += 1;
                 emit(
@@ -1829,7 +1778,7 @@ impl NetworkModel {
                     qn_net::wire::encode_link_event(&LinkEvent::PairReady(pair), b)
                 });
             } else {
-                self.deliver_link_pair(ctx, node, link, pid, circuit, side, pair_info);
+                self.deliver_link_pair(ctx, node, pid, circuit, side, pair_info);
             }
         }
 
@@ -2656,49 +2605,12 @@ impl Model for NetworkModel {
                         }
                         _ => {}
                     }
-                    let is_track = frame.get(1).copied() == Some(qn_net::wire::KIND_TRACK);
-                    // Borrow-decode at the receiver: a frame corrupted
-                    // in flight may fail here (counted, dropped — the
+                    // Decode at the receiver: a frame corrupted in
+                    // flight may fail here (counted, dropped — the
                     // message is simply lost) or decode into a different
                     // valid message the protocol rules must absorb.
-                    match self.nodes[to.0 as usize]
-                        .qnp
-                        .handle_frame(from_upstream, frame)
-                    {
-                        Ok((circuit, outs)) => {
-                            self.process_outputs(ctx, to, circuit, outs);
-                            // End-to-end TRACK acknowledgement: an
-                            // end-node receiving a TRACK (first copy or
-                            // duplicate — re-acks recover lost acks)
-                            // answers towards its origin. Guarded
-                            // structurally, not just by role: a
-                            // corrupted circuit id can name a circuit
-                            // this node is not an end of (or not on at
-                            // all), and the ack can only go where the
-                            // named circuit actually has a hop.
-                            let ack_down = !from_upstream;
-                            let can_ack = wire
-                                && is_track
-                                && self.circuit_rt(circuit).is_some_and(|rt| {
-                                    match rt.path.iter().position(|n| *n == to) {
-                                        Some(0) => ack_down && rt.path.len() > 1,
-                                        Some(i) => i + 1 == rt.path.len() && !ack_down,
-                                        None => false,
-                                    }
-                                });
-                            if can_ack {
-                                if let Ok(qn_net::wire::MessageView::Track(t)) =
-                                    qn_net::wire::MessageView::parse(frame)
-                                {
-                                    let ack = Message::TrackAck(TrackAck {
-                                        circuit,
-                                        origin: t.origin(),
-                                    });
-                                    self.plane.stats.track_acks += 1;
-                                    self.send_message(ctx, to, circuit, ack_down, ack);
-                                }
-                            }
-                        }
+                    let msg = match qn_net::wire::MessageView::parse(frame) {
+                        Ok(view) => view.to_message(),
                         Err(err) => {
                             self.plane.stats.count_decode_failure(frame.get(1).copied());
                             emit(
@@ -2710,7 +2622,40 @@ impl Model for NetworkModel {
                                     err,
                                 },
                             );
+                            continue;
                         }
+                    };
+                    let circuit = msg.circuit();
+                    let track_origin = match &msg {
+                        Message::Track(t) => Some(t.origin),
+                        _ => None,
+                    };
+                    let outs = self.nodes[to.0 as usize]
+                        .qnp
+                        .handle(NetInput::Message { from_upstream, msg });
+                    self.process_outputs(ctx, to, circuit, outs);
+                    // End-to-end TRACK acknowledgement: an end-node
+                    // receiving a TRACK (first copy or duplicate — re-acks
+                    // recover lost acks) answers towards its origin.
+                    // Guarded structurally, not just by role: a corrupted
+                    // circuit id can name a circuit this node is not an
+                    // end of (or not on at all), and the ack can only go
+                    // where the named circuit actually has a hop.
+                    let Some(origin) = track_origin.filter(|_| wire) else {
+                        continue;
+                    };
+                    let ack_down = !from_upstream;
+                    let can_ack = self.circuit_rt(circuit).is_some_and(|rt| {
+                        match rt.path.iter().position(|n| *n == to) {
+                            Some(0) => ack_down && rt.path.len() > 1,
+                            Some(i) => i + 1 == rt.path.len() && !ack_down,
+                            None => false,
+                        }
+                    });
+                    if can_ack {
+                        let ack = Message::TrackAck(TrackAck { circuit, origin });
+                        self.plane.stats.track_acks += 1;
+                        self.send_message(ctx, to, circuit, ack_down, ack);
                     }
                 }
                 self.plane.recycle(buf);
@@ -2799,7 +2744,6 @@ impl Model for NetworkModel {
                 node,
                 pair,
                 storage,
-                link: _,
                 circuit,
                 side,
                 info,

@@ -31,4 +31,4 @@ pub use signalling::{InstalledCircuit, Signaller};
 pub use topology::{
     chain, dumbbell, grid, ring, wide_dumbbell, Dumbbell, LinkSpec, Topology, WideDumbbell,
 };
-pub use wire::{SignalMessage, SignalMessageView};
+pub use wire::SignalMessage;
