@@ -25,10 +25,7 @@ pub use fig8::{circuit_pairs, fig8_scenario, Fig8Point};
 pub use fig9::{fig9_scenario, Fig9Point};
 pub use openworld::{openworld_scenario, OpenWorldConfig, OpenWorldPoint, OwArrivals, OwTopology};
 
-use qn_hardware::params::{FibreParams, HardwareParams};
 use qn_net::{Address, Demand, RequestId, RequestType, UserRequest};
-use qn_netsim::build::{NetSim, NetworkBuilder};
-use qn_routing::{dumbbell, Dumbbell};
 use qn_sim::NodeId;
 
 /// A KEEP request for `n` pairs without deadline.
@@ -48,10 +45,4 @@ pub fn keep_request(id: u64, head: NodeId, tail: NodeId, f: f64, n: u64) -> User
         request_type: RequestType::Keep,
         final_state: None,
     }
-}
-
-/// Convenience: a built dumbbell simulation (used by the micro-benches).
-pub fn quick_dumbbell(seed: u64) -> (NetSim, Dumbbell) {
-    let (topology, d) = dumbbell(HardwareParams::simulation(), FibreParams::lab_2m());
-    (NetworkBuilder::new(topology).seed(seed).build(), d)
 }

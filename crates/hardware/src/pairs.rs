@@ -730,19 +730,6 @@ impl PairStore {
         self.meta[i].announced = announced;
     }
 
-    /// Escape hatch for applications and experiments (teleportation
-    /// example, tomography tests): mutate the raw pair state. Demotes
-    /// the pair to the dense representation — arbitrary mutations can
-    /// leave the Bell-diagonal family.
-    pub fn with_state_mut<R>(
-        &mut self,
-        id: PairId,
-        f: impl FnOnce(&mut DensityMatrix) -> R,
-    ) -> Option<R> {
-        let i = self.slot(id)?;
-        Some(f(self.states[i].dm_mut()))
-    }
-
     /// Iterate over all live pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = PairView<'_>> {
         self.meta.iter().enumerate().filter_map(move |(i, m)| {

@@ -84,7 +84,12 @@ pub(crate) fn dispatch_message(
 pub(crate) fn teardown(circuit: CircuitId, c: Circuit, out: &mut Vec<NetOutput>) {
     match c.state {
         CircuitState::Endpoint(ep) => {
-            for (_, it) in ep.in_transit {
+            // `in_transit` is a hash map with a per-instance seed:
+            // release in correlator order, so the outputs (and the event
+            // log) are the same on every run.
+            let mut in_transit: Vec<_> = ep.in_transit.into_iter().collect();
+            in_transit.sort_unstable_by_key(|(c, _)| *c);
+            for (_, it) in in_transit {
                 if it.delivered_early {
                     out.push(NetOutput::Notify(AppEvent::EarlyPairExpired {
                         request: it.request,

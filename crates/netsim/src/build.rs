@@ -343,11 +343,6 @@ impl NetSim {
         self.sim.processed()
     }
 
-    /// Direct access to the model (examples and advanced tests).
-    pub fn model_mut(&mut self) -> &mut NetworkModel {
-        self.sim.model_mut()
-    }
-
     /// The circuit plan metadata installed for `circuit`.
     pub fn installed(
         &self,

@@ -6,13 +6,17 @@
 //! (controller + signalling) — into a runnable network simulation,
 //! playing the role NetSquid scenario scripts play in the paper.
 //!
-//! * [`runtime`] — the discrete-event model: classical channels with
-//!   delay injection, geometric fast-forward link generation, timed noisy
-//!   swaps/measurements, cutoff timers, near-term storage moves;
+//! * [`runtime`] — the discrete-event model, one module per layer
+//!   (classical plane, link generation, quantum operations, pair-end
+//!   bookkeeping, signalling, component faults, QNP effects; see
+//!   `ARCHITECTURE.md`);
 //! * [`build`] — the [`build::NetworkBuilder`] / [`build::NetSim`]
 //!   façade: open circuits, submit requests, run, read metrics;
+//! * [`classical`] — the classical plane: latency, faults, batching;
+//! * [`faults`] — the component-fault plan (link outages, node crashes);
 //! * [`app`] — the application harness with oracle-annotated deliveries;
-//! * [`log`] — the typed protocol event log, off unless asked for.
+//! * [`log`] — the typed protocol event log, off unless asked for;
+//! * [`estimation`] — fidelity estimation from test rounds.
 //!
 //! ## Example: one pair over the Fig 7 dumbbell
 //!

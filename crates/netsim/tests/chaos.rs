@@ -207,6 +207,43 @@ fn repeater_crash_reports_circuit_down_and_serves_after_restart() {
 }
 
 #[test]
+fn endpoint_teardown_log_is_deterministic() {
+    // A repeater outage tears the circuit down while its end-nodes hold
+    // in-transit pairs. The end-nodes keep those in a hash map with a
+    // per-instance seed; the discards they emit, and so the DSC lines
+    // of the event log, must still come out in the same order on every
+    // run of the seed.
+    let log = |seed: u64, crash_ms: u64| -> String {
+        let topology = chain(4, HardwareParams::simulation(), FibreParams::lab_2m());
+        let plan =
+            FaultPlan::new().node_outage(NodeId(1), at_ms(crash_ms), SimDuration::from_millis(300));
+        let mut sim = NetworkBuilder::new(topology)
+            .seed(seed)
+            .signalling_on_wire()
+            .track_timeout(SimDuration::from_secs(2))
+            .fault_plan(plan)
+            .with_trace()
+            .build();
+        let (head, tail) = (NodeId(0), NodeId(3));
+        let vc = sim
+            .open_circuit(head, tail, 0.8, CutoffPolicy::short())
+            .unwrap();
+        sim.submit_at(SimTime::ZERO, vc, keep(1, head, tail, 0.8, 1_000));
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
+        sim.log().expect("trace on").render()
+    };
+    for (seed, crash_ms) in [(2, 600), (2, 400), (3, 900)] {
+        let first = log(seed, crash_ms);
+        for _ in 0..3 {
+            assert!(
+                first == log(seed, crash_ms),
+                "seed {seed}, crash at {crash_ms} ms: the event log differs between runs"
+            );
+        }
+    }
+}
+
+#[test]
 fn stochastic_fault_schedule_is_deterministic_and_leak_free() {
     // MTBF/MTTR churn on the middle link: failures drawn from the
     // dedicated "component-faults" substream, so the run stays a pure

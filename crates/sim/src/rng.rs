@@ -106,11 +106,6 @@ impl SimRng {
         -(1.0 - u).ln() / rate
     }
 
-    /// Uniform in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        self.inner.gen_range(lo..hi)
-    }
-
     /// Sample an index from a discrete distribution given by `weights`
     /// (need not be normalised; non-positive total panics in debug builds).
     pub fn discrete(&mut self, weights: &[f64]) -> usize {

@@ -118,16 +118,6 @@ impl SimDuration {
         Self::from_f64(ms, PS_PER_MS as f64)
     }
 
-    /// Construct from fractional microseconds.
-    pub fn from_micros_f64(us: f64) -> Self {
-        Self::from_f64(us, PS_PER_US as f64)
-    }
-
-    /// Construct from fractional nanoseconds.
-    pub fn from_nanos_f64(ns: f64) -> Self {
-        Self::from_f64(ns, PS_PER_NS as f64)
-    }
-
     fn from_f64(v: f64, scale: f64) -> Self {
         if !v.is_finite() || v <= 0.0 {
             return SimDuration(if v.is_infinite() && v > 0.0 {
